@@ -9,6 +9,10 @@ The scheme flight profile additionally compares the three sample-
 authentication backends end to end over a 100-sample flight: per-sample
 RSA pays one private-key operation per fix, the batch and hash-chain
 schemes amortize the flight down to one or two.
+
+The record-open profile does the same for the Auditor's decryption: the
+paper's per-record RSAES decrypt against the per-flight hybrid envelope
+(one RSA unwrap per flight), at 512, 1024 and 2048 bits.
 """
 
 from __future__ import annotations
@@ -17,6 +21,7 @@ import random
 import time
 
 from _emit import merge_bench_json
+from repro.crypto.envelope import open_records, seal_records
 from repro.crypto.hmac_sign import generate_hmac_key, hmac_sign
 from repro.crypto.pkcs1 import (
     decrypt_pkcs1_v15,
@@ -24,6 +29,7 @@ from repro.crypto.pkcs1 import (
     sign_pkcs1_v15,
     verify_pkcs1_v15,
 )
+from repro.crypto.rsa import generate_rsa_keypair
 from repro.crypto.schemes import (
     SCHEME_BATCH,
     SCHEME_CHAIN,
@@ -34,6 +40,10 @@ from repro.crypto.schemes import (
 PAYLOAD = b"\x00" * 36  # one canonical GPS sample payload
 
 FLIGHT_SAMPLES = 100
+#: Records per flight in the record-open profile (the fleet-cold flight).
+OPEN_FLIGHT_RECORDS = 20
+#: The envelope must open a 1024-bit flight this much faster.
+ENVELOPE_OPEN_FLOOR = 5.0
 
 
 def test_sign_1024(benchmark, rsa_1024):
@@ -162,3 +172,47 @@ def test_sign_cost_ratio_matches_table2(benchmark, rsa_1024, rsa_2048, emit):
          f"({t1024 * 1e3:.2f} ms vs {t2048 * 1e3:.2f} ms)\n"
          f"  paper-derived: 5.10x (43.4 ms vs 221.5 ms on the Pi)")
     assert 3.0 < ratio < 8.0
+
+
+def _time_open(key, ciphertexts, rounds: int) -> float:
+    """Best-of-``rounds`` seconds to open one flight's records."""
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        open_records(key, ciphertexts)
+        best = min(best, time.perf_counter() - start)
+    return best
+
+
+def test_record_open_profile(rsa_1024, rsa_2048, emit):
+    """Envelope open vs per-record RSAES decrypt, per flight."""
+    keys = {512: generate_rsa_keypair(512, rng=random.Random(5)),
+            1024: rsa_1024, 2048: rsa_2048}
+    payloads = _flight_payloads(OPEN_FLIGHT_RECORDS)
+    rows = {}
+    for bits, key in keys.items():
+        rng = random.Random(bits)
+        paper = [encrypt_pkcs1_v15(key.public_key, p, rng=rng)
+                 for p in payloads]
+        envelope = seal_records(key.public_key, payloads, rng=rng)
+        assert open_records(key, paper) == open_records(key, envelope)
+        per_record_s = _time_open(key, paper, rounds=3)
+        envelope_s = _time_open(key, envelope, rounds=3)
+        rows[str(bits)] = {
+            "records": OPEN_FLIGHT_RECORDS,
+            "per_record_rsaes_s": per_record_s,
+            "envelope_s": envelope_s,
+            "speedup": per_record_s / envelope_s,
+            "per_record_rsaes_bytes": sum(map(len, paper)),
+            "envelope_bytes": sum(map(len, envelope)),
+        }
+    emit("\n".join(
+        [f"Record opening, {OPEN_FLIGHT_RECORDS}-record flight "
+         "(per-record RSAES vs per-flight envelope)"]
+        + [f"  RSA-{bits:<5}: per-record {row['per_record_rsaes_s'] * 1e3:8.2f}"
+           f" ms  envelope {row['envelope_s'] * 1e3:7.2f} ms  "
+           f"speedup {row['speedup']:5.1f}x  bytes "
+           f"{row['per_record_rsaes_bytes']} -> {row['envelope_bytes']}"
+           for bits, row in rows.items()]))
+    merge_bench_json("crypto", {"record_open_profile": rows})
+    assert rows["1024"]["speedup"] >= ENVELOPE_OPEN_FLOOR, rows["1024"]

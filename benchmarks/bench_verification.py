@@ -10,7 +10,9 @@ from repro.core.nfz import NoFlyZone
 from repro.core.poa import ProofOfAlibi, SignedSample, decrypt_poa, encrypt_poa
 from repro.core.samples import GpsSample
 from repro.core.verification import PoaVerifier
+from repro.crypto.envelope import RECORD_MODE_ENVELOPE, RECORD_MODE_RSAES
 from repro.crypto.pkcs1 import sign_pkcs1_v15
+from repro.crypto.rsa import generate_rsa_keypair
 from repro.geo.geodesy import GeoPoint, LocalFrame
 from repro.sim.clock import DEFAULT_EPOCH
 
@@ -47,13 +49,26 @@ def test_signature_stage_only(benchmark, poa_and_zone, rsa_1024):
                      rsa_1024.public_key) == []
 
 
-def test_poa_decrypt_stage(benchmark, poa_and_zone, rsa_1024):
-    """Server-side RSAES decryption of a 100-record submission."""
+@pytest.fixture(scope="module")
+def encryption_keys(rsa_1024, rsa_2048):
+    return {512: generate_rsa_keypair(512, rng=random.Random(5)),
+            1024: rsa_1024, 2048: rsa_2048}
+
+
+@pytest.mark.parametrize("bits", [512, 1024, 2048])
+@pytest.mark.parametrize("record_mode", [RECORD_MODE_ENVELOPE,
+                                         RECORD_MODE_RSAES])
+def test_poa_decrypt_stage(benchmark, poa_and_zone, encryption_keys, bits,
+                           record_mode):
+    """Server-side decryption of a 100-record submission: the per-flight
+    envelope (one RSA unwrap) against the paper's per-record RSAES."""
     poa, _ = poa_and_zone
-    records = encrypt_poa(poa, rsa_1024.public_key, rng=random.Random(1))
-    restored = benchmark.pedantic(decrypt_poa, args=(records, rsa_1024),
+    key = encryption_keys[bits]
+    records = encrypt_poa(poa, key.public_key, rng=random.Random(1),
+                          record_mode=record_mode)
+    restored = benchmark.pedantic(decrypt_poa, args=(records, key),
                                   rounds=3, iterations=1)
-    assert len(restored) == 100
+    assert restored.entries == poa.entries
 
 
 def test_poa_serialization(benchmark, poa_and_zone):

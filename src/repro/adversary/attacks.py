@@ -5,7 +5,9 @@ flight's genuine PoA — or other signed material the operator could
 plausibly hold — into a forged submission plus a claimed flight window,
 then let the shared driver submit and adjudicate it.  Protocol attacks
 (:class:`NonceReplay`) and platform attacks (:class:`KeyExtraction`)
-override :meth:`Attack.execute` entirely.
+override :meth:`Attack.execute` entirely.  Record attacks
+(:class:`RecordAttack`) tamper with the encrypted records instead: the
+per-flight envelope's tags, wrapped key and flight binding.
 
 Every attack declares ``expected_outcomes``: the set of rejection labels
 the deployment is allowed to answer with.  Any other label — above all
@@ -25,10 +27,11 @@ import uuid
 from dataclasses import dataclass
 
 from repro.core.attacks import forge_straight_route, tamper_with_samples
-from repro.core.poa import ProofOfAlibi, SignedSample
+from repro.core.poa import EncryptedPoaRecord, ProofOfAlibi, SignedSample
 from repro.core.protocol import ZoneQuery
 from repro.core.samples import GpsSample
 from repro.core.verification import VerificationStatus
+from repro.crypto.envelope import EnvelopeRecord
 from repro.crypto.keys import private_key_from_bytes
 from repro.crypto.pkcs1 import sign_pkcs1_v15, verify_pkcs1_v15
 from repro.crypto.schemes import (
@@ -53,6 +56,17 @@ SUPPRESS_MARGIN_M = 5.0
 
 #: Seconds of genuine trace a truncation attack gives up before entry.
 TRUNCATE_GUARD_S = 5.0
+
+
+def _in_zone_indices(world, poa: ProofOfAlibi) -> list[int]:
+    """Indices of ``poa``'s samples inside the world's zone."""
+    cx, cy = world.zone_center_xy
+    inside = []
+    for i, entry in enumerate(poa):
+        x, y = entry.sample.local_position(world.frame)
+        if math.hypot(x - cx, y - cy) <= world.zone.radius_m:
+            inside.append(i)
+    return inside
 
 
 @dataclass(frozen=True)
@@ -111,6 +125,11 @@ class SubmissionAttack(Attack):
         poa, start, end = self.forge(world, rng)
         report = world.submit(drone_id, poa, start, end,
                               flight_id=f"atk-{self.name}")
+        return self.adjudicated(world, drone_id, report)
+
+    @staticmethod
+    def adjudicated(world, drone_id: str, report) -> AttackResult:
+        """Fold a submission's report and the incident ruling into a result."""
         finding = world.adjudicate(drone_id)
         accepted = report.status is VerificationStatus.ACCEPTED
         cleared = not finding.violation
@@ -249,15 +268,10 @@ class TamperPosition(SubmissionAttack):
     expected_outcomes = frozenset({"bad_signature"})
 
     def forge(self, world, rng):
-        cx, cy = world.zone_center_xy
-        inside = []
-        for i, entry in enumerate(world.violation_poa):
-            x, y = entry.sample.local_position(world.frame)
-            if math.hypot(x - cx, y - cy) <= world.zone.radius_m:
-                inside.append(i)
         poa = tamper_with_samples(world.violation_poa,
                                   lat_shift_deg=0.01, lon_shift_deg=0.0,
-                                  indices=inside or [0])
+                                  indices=_in_zone_indices(
+                                      world, world.violation_poa) or [0])
         return poa, world.violation_start, world.violation_end
 
 
@@ -558,6 +572,105 @@ class MerkleForgedSibling(SubmissionAttack):
         return poa.replace_entries(entries), start, end
 
 
+class RecordAttack(SubmissionAttack):
+    """An attack on the encrypted records rather than on the PoA.
+
+    Subclasses implement :meth:`forge_records` returning ``(records, poa,
+    claimed_start, claimed_end)``; ``poa`` supplies the scheme and
+    finalizer the submission carries.  Every one of them must die at
+    decryption, before any authentication or geometry runs.
+    """
+
+    expected_outcomes = frozenset({"decrypt_failed"})
+
+    def forge_records(self, world, rng: random.Random):
+        raise NotImplementedError
+
+    def execute(self, world, rng: random.Random) -> AttackResult:
+        drone_id = world.fresh_identity()
+        records, poa, start, end = self.forge_records(world, rng)
+        report = world.submit_records(drone_id, records, poa, start, end,
+                                      flight_id=f"atk-{self.name}")
+        return self.adjudicated(world, drone_id, report)
+
+
+def _envelope_record(world, ciphertext: bytes) -> EnvelopeRecord:
+    return EnvelopeRecord(ciphertext,
+                          world.server.public_encryption_key.byte_length)
+
+
+class EnvelopeTagTamper(RecordAttack):
+    """Rewrite in-zone positions through counter-mode malleability.
+
+    The operator knows each plaintext, so XOR-ing ``old ^ new`` into a
+    record body makes it decrypt to a shifted position — but the record
+    tag, keyed from the flight key, no longer matches.
+    """
+
+    name = "envelope_tag_tamper"
+    description = "in-zone envelope bodies XOR-shifted, tags kept"
+
+    def forge_records(self, world, rng):
+        poa = world.violation_poa
+        records = world.encrypt(poa, rng)
+        for i in _in_zone_indices(world, poa) or [0]:
+            s = poa[i].sample
+            moved = GpsSample(s.lat + 0.01, s.lon, s.t, s.alt)
+            delta = bytes(a ^ b for a, b in zip(poa[i].payload,
+                                                moved.to_signed_payload()))
+            ciphertext = records[i].ciphertext
+            start = len(_envelope_record(world, ciphertext).header)
+            body = ciphertext[start:start + len(delta)]
+            shifted = bytes(a ^ b for a, b in zip(body, delta))
+            records[i] = EncryptedPoaRecord(
+                ciphertext[:start] + shifted
+                + ciphertext[start + len(delta):],
+                records[i].signature)
+        return records, poa, world.violation_start, world.violation_end
+
+
+class WrappedKeySwap(RecordAttack):
+    """Put another flight's wrapped key into this flight's key record.
+
+    The key the Auditor unwraps is genuine — yesterday's compliant
+    flight's — but no record of this flight was sealed under it.
+    """
+
+    name = "wrapped_key_swap"
+    description = "key record carries another flight's wrapped key"
+
+    def forge_records(self, world, rng):
+        poa = world.violation_poa
+        records = world.encrypt(poa, rng)
+        donor = world.encrypt(world.old_poa, rng)[0].ciphertext
+        own = records[0].ciphertext
+        records[0] = EncryptedPoaRecord(
+            own.replace(_envelope_record(world, own).wrapped_key,
+                        _envelope_record(world, donor).wrapped_key, 1),
+            records[0].signature)
+        return records, poa, world.violation_start, world.violation_end
+
+
+class CrossFlightRecordSplice(RecordAttack):
+    """Replace in-zone records with a compliant flight's sealed records.
+
+    Every spliced record is a genuine envelope record with a genuine TEE
+    authenticator — sealed under the *donor* flight's key, so none opens
+    under the key of the flight it was spliced into.
+    """
+
+    name = "cross_flight_record_splice"
+    description = "compliant flight's sealed records spliced over in-zone ones"
+
+    def forge_records(self, world, rng):
+        poa = world.violation_poa
+        records = world.encrypt(poa, rng)
+        donor = world.encrypt(world.old_poa, rng)
+        for i in _in_zone_indices(world, poa) or [len(records) - 1]:
+            records[i] = donor[max(1, min(i, len(donor) - 1))]
+        return records, poa, world.violation_start, world.violation_end
+
+
 class NonceReplay(Attack):
     """Replay a signed zone-query nonce (pre-flight protocol, steps 2-3)."""
 
@@ -674,6 +787,9 @@ def builtin_attacks() -> list[Attack]:
         MerkleOverRedaction(),
         MerkleCrossFlightSplice(),
         MerkleForgedSibling(),
+        EnvelopeTagTamper(),
+        WrappedKeySwap(),
+        CrossFlightRecordSplice(),
         NonceReplay(),
         KeyExtraction(),
     ]

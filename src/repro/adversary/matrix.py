@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 from repro.adversary.attacks import Attack, AttackResult, builtin_attacks
-from repro.core.poa import ProofOfAlibi, encrypt_poa
+from repro.core.poa import EncryptedPoaRecord, ProofOfAlibi, encrypt_poa
 from repro.core.protocol import (
     DroneRegistrationRequest,
     IncidentReport,
@@ -140,11 +140,23 @@ class AttackWorld:
             tee_public_key=self.device.tee_public_key,
             operator_name=f"adversary-{self._identities}"))
 
+    def encrypt(self, poa: ProofOfAlibi,
+                rng: random.Random | None = None) -> list[EncryptedPoaRecord]:
+        """The Adapter's records for ``poa`` under this Auditor's key."""
+        return encrypt_poa(poa, self.server.public_encryption_key,
+                           rng=rng or random.Random(0xFEED))
+
     def submit(self, drone_id: str, poa: ProofOfAlibi, claimed_start: float,
                claimed_end: float, flight_id: str) -> VerificationReport:
         """Encrypt and upload a (forged) PoA through the real intake."""
-        records = encrypt_poa(poa, self.server.public_encryption_key,
-                              rng=random.Random(0xFEED))
+        return self.submit_records(drone_id, self.encrypt(poa), poa,
+                                   claimed_start, claimed_end, flight_id)
+
+    def submit_records(self, drone_id: str,
+                       records: list[EncryptedPoaRecord], poa: ProofOfAlibi,
+                       claimed_start: float, claimed_end: float,
+                       flight_id: str) -> VerificationReport:
+        """Upload (forged) records carrying ``poa``'s scheme and finalizer."""
         submission = PoaSubmission(
             drone_id=drone_id, flight_id=flight_id, records=records,
             claimed_start=claimed_start, claimed_end=claimed_end,

@@ -11,6 +11,11 @@ execution path with :class:`repro.core.verification.VerificationPipeline`
 beyond the crypto primitives and the projection formula, agreement between
 the two is strong evidence that neither has drifted from the spec.
 
+:func:`reference_open_records` does the same for the record layer: it
+opens paper-mode and hybrid-envelope records straight from the wire
+format in ``docs/PROTOCOL.md`` without importing
+:mod:`repro.crypto.envelope`.
+
 Reports are field-for-field comparable (``==``) with the pipeline's,
 including messages, rejection reasons, and failure indices.
 """
@@ -30,9 +35,9 @@ from repro.core.verification import (
     VerificationReport,
     VerificationStatus,
 )
-from repro.crypto.pkcs1 import verify_pkcs1_v15
-from repro.crypto.rsa import RsaPublicKey
-from repro.errors import EncodingError
+from repro.crypto.pkcs1 import decrypt_pkcs1_v15, verify_pkcs1_v15
+from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
+from repro.errors import EncodingError, EncryptionError
 from repro.geo.geodesy import LocalFrame
 from repro.units import FAA_MAX_SPEED_MPS
 
@@ -261,6 +266,61 @@ def _ref_bad_auth_indices(poa: ProofOfAlibi, tee_public_key: RsaPublicKey,
         return _ref_merkle_bad_indices(poa, tee_public_key, hash_name)
     # Unknown scheme: nothing can be attributed to T+.
     return list(range(len(poa)))
+
+
+def _ref_envelope_fields(ciphertext: bytes, k: int):
+    """``(index, header, wrapped_key_or_None, body, tag)`` of one record.
+
+    Wire constants duplicated on purpose: version 1, 8-byte tag.
+    """
+    if len(ciphertext) < 2 + 8:
+        raise EncryptionError("reference: record shorter than its framing")
+    index = (ciphertext[0] << 8) | ciphertext[1]
+    if index != 0:
+        return index, ciphertext[:2], None, ciphertext[2:-8], ciphertext[-8:]
+    if len(ciphertext) < 2 + 1 + k + 8:
+        raise EncryptionError("reference: key record truncated")
+    if ciphertext[2] != 1:
+        raise EncryptionError("reference: unknown envelope version")
+    return (0, ciphertext[:3 + k], ciphertext[3:3 + k],
+            ciphertext[3 + k:-8], ciphertext[-8:])
+
+
+def reference_open_records(private_key: RsaPrivateKey,
+                           ciphertexts: Sequence[bytes]) -> list[bytes]:
+    """Open a flight's records (paper mode or envelope), the slow way.
+
+    Paper mode when every record is exactly the modulus length: one
+    RSAES decrypt each.  Otherwise the first index-0 record's flight key
+    opens every record: SHA-256 counter keystream, truncated
+    HMAC-SHA256 over header and body.  Raises :class:`EncryptionError`.
+    """
+    k = private_key.byte_length
+    if all(len(c) == k for c in ciphertexts):
+        return [decrypt_pkcs1_v15(private_key, c) for c in ciphertexts]
+    fields = [_ref_envelope_fields(c, k) for c in ciphertexts]
+    wrapped = next((f[2] for f in fields if f[2] is not None), None)
+    if wrapped is None:
+        raise EncryptionError("reference: no key record")
+    flight_key = decrypt_pkcs1_v15(private_key, wrapped)
+    if len(flight_key) != 32:
+        raise EncryptionError("reference: flight key is not 32 bytes")
+    enc_key = hashlib.sha256(b"ADEV-ENC\x00" + flight_key).digest()
+    mac_key = hashlib.sha256(b"ADEV-MAC\x00" + flight_key).digest()
+    payloads = []
+    for index, header, _wrapped, body, tag in fields:
+        expected = hmac_module.new(mac_key, header + body,
+                                   hashlib.sha256).digest()[:8]
+        if not hmac_module.compare_digest(expected, tag):
+            raise EncryptionError("reference: record tag mismatch")
+        payload = bytearray()
+        for offset in range(0, len(body), 32):
+            block = hashlib.sha256(
+                enc_key + struct.pack(">II", index, offset // 32)).digest()
+            payload.extend(x ^ y for x, y in zip(body[offset:offset + 32],
+                                                  block))
+        payloads.append(bytes(payload))
+    return payloads
 
 
 def reference_verify(poa: ProofOfAlibi, tee_public_key: RsaPublicKey,

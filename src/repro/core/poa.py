@@ -9,9 +9,11 @@ plus a hash-chain finalizer.  The PoA records the scheme id and the
 flight-level finalizer alongside the entries so every verifier can
 dispatch without out-of-band context.
 
-The Adapter additionally encrypts each sample payload under the Auditor's
-public key before persisting it (``RSAES_PKCS1_v1_5``, §V-C);
-:func:`encrypt_poa`/:func:`decrypt_poa` implement that wrapping.
+The Adapter additionally encrypts each sample payload for the Auditor
+before persisting it.  The paper wraps every sample with
+``RSAES_PKCS1_v1_5`` (§V-C); by default :func:`encrypt_poa` uses the
+per-flight hybrid envelope of :mod:`repro.crypto.envelope` instead (one
+RSA operation per flight), and :func:`decrypt_poa` opens either form.
 """
 
 from __future__ import annotations
@@ -22,10 +24,16 @@ from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from repro.core.samples import GpsSample, Trace
-from repro.crypto.pkcs1 import decrypt_pkcs1_v15, encrypt_pkcs1_v15
+from repro.crypto.envelope import (
+    RECORD_MODE_ENVELOPE,
+    RECORD_MODE_RSAES,
+    open_records,
+    seal_records,
+)
+from repro.crypto.pkcs1 import encrypt_pkcs1_v15
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.crypto.schemes import SCHEME_RSA, get_scheme
-from repro.errors import EncodingError
+from repro.errors import ConfigurationError, EncodingError
 
 #: Magic tag opening the versioned PoA encoding.  The legacy (pre-scheme)
 #: encoding starts with a 4-byte big-endian entry count, which would have
@@ -233,32 +241,47 @@ class EncryptedPoaRecord:
 
 
 def encrypt_poa(poa: ProofOfAlibi, auditor_public_key: RsaPublicKey,
-                rng: random.Random | None = None) -> list[EncryptedPoaRecord]:
-    """Encrypt each sample payload under the Auditor's public key (§V-C).
+                rng: random.Random | None = None,
+                record_mode: str = RECORD_MODE_ENVELOPE,
+                ) -> list[EncryptedPoaRecord]:
+    """Encrypt each sample payload for the Auditor.
 
-    The authenticator stays in the clear — it covers the plaintext payload
-    and is checked after the Auditor decrypts.  The scheme id and
-    finalizer travel in the submission envelope, not per record.
+    ``record_mode`` picks the record form: the per-flight hybrid envelope
+    (default; one RSA wrap per flight) or the paper's per-record
+    RSAES-PKCS1-v1_5 (``"rsaes"``, §V-C).  The authenticator stays in the
+    clear — it covers the plaintext payload and is checked after the
+    Auditor decrypts.  The scheme id and finalizer travel in the
+    submission envelope, not per record.
     """
-    return [EncryptedPoaRecord(
-                ciphertext=encrypt_pkcs1_v15(auditor_public_key, entry.payload, rng=rng),
-                signature=entry.signature)
-            for entry in poa]
+    payloads = [entry.payload for entry in poa]
+    if record_mode == RECORD_MODE_ENVELOPE:
+        ciphertexts = seal_records(auditor_public_key, payloads, rng=rng)
+    elif record_mode == RECORD_MODE_RSAES:
+        ciphertexts = [encrypt_pkcs1_v15(auditor_public_key, payload, rng=rng)
+                       for payload in payloads]
+    else:
+        raise ConfigurationError(f"unknown record mode {record_mode!r}")
+    return [EncryptedPoaRecord(ciphertext=ciphertext,
+                               signature=entry.signature)
+            for ciphertext, entry in zip(ciphertexts, poa)]
 
 
 def decrypt_poa(records: Iterable[EncryptedPoaRecord],
                 auditor_private_key: RsaPrivateKey,
                 scheme: str = SCHEME_RSA,
                 finalizer: bytes = b"") -> ProofOfAlibi:
-    """Decrypt Adapter-encrypted records back into a PoA.
+    """Decrypt Adapter-encrypted records (either record mode) into a PoA.
 
     Raises:
-        repro.errors.EncryptionError: a record's padding is invalid
-            (tampered ciphertext or wrong key).
+        repro.errors.EncryptionError: a record is malformed, fails its
+            envelope tag, or has invalid padding (tampered ciphertext or
+            wrong key).
     """
+    records = list(records)
+    payloads = open_records(auditor_private_key,
+                            [record.ciphertext for record in records])
     return ProofOfAlibi(
-        (SignedSample(payload=decrypt_pkcs1_v15(auditor_private_key,
-                                                record.ciphertext),
-                      signature=record.signature, scheme=scheme)
-         for record in records),
+        (SignedSample(payload=payload, signature=record.signature,
+                      scheme=scheme)
+         for payload, record in zip(payloads, records)),
         scheme=scheme, finalizer=finalizer)

@@ -14,14 +14,16 @@ Attack classes (each independently verified against the audit engine):
   The drone really violated; a clean alibi would be a false accept.
   Engine verdict: insufficient/infeasible, never ACCEPTED.
 * ``payload_tamper`` — one ciphertext byte flipped in transit
-  (→ ``decrypt_failed``).
+  (→ ``decrypt_failed``: the envelope record tag, or a paper-mode
+  record's RSAES padding, refuses it).
 * ``signature_bitflip`` — one authenticator byte flipped
   (→ ``bad_signature``).
 * ``foreign_replay`` — drone A's validly-signed records submitted under
   drone B's identity (→ ``bad_signature`` under B's ``T+``).
-* ``record_reorder`` — records reversed in transit (→ ``out_of_order``
-  for per-sample RSA; ``bad_signature`` for chained/batched/Merkle
-  schemes, whose finalizers pin the order).
+* ``record_reorder`` — records reversed in transit; each envelope
+  record still opens on its own (→ ``out_of_order`` for per-sample RSA;
+  ``bad_signature`` for chained/batched/Merkle schemes, whose finalizers
+  pin the order).
 
 Chaos traffic reuses the :mod:`repro.faults` link-fault machinery (drop
 / duplicate / corrupt per record) — degraded honest flights may be

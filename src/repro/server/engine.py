@@ -4,19 +4,23 @@ The paper's Auditor (§IV-C2) verifies one PoA at a time; a production
 service fields submissions from millions of drones.  :class:`AuditEngine`
 is the throughput-scaled path every intake flows through:
 
-* **Fan-out** — the CPU-bound crypto work (RSAES decryption + signature
+* **Fan-out** — the CPU-bound crypto work (record decryption + signature
   checking) for each submission is dispatched across a
-  :mod:`concurrent.futures` pool.  ``workers <= 1`` runs everything inline
-  in submission order, which is the deterministic mode the tests use.
+  :mod:`concurrent.futures` pool; decryption costs one RSA unwrap per
+  envelope flight, or one RSAES decrypt per paper-mode record
+  (:func:`repro.crypto.envelope.open_records`).  ``workers <= 1`` runs
+  everything inline in submission order, which is the deterministic mode
+  the tests use.
 * **Screening** — same-key signature batches are first checked with
   Bellare–Garay–Rabin screening (one public-key exponentiation per PoA
   instead of one per sample, :func:`repro.crypto.pkcs1.screen_pkcs1_v15`);
   any failure falls back to per-signature verification so rejected
   reports still carry exact indices.
-* **Caching** — decrypted payloads are memoized by ciphertext (resubmitted
-  or replayed records cost nothing the second time), per-drone ``T+``
-  lookups are cached, local-frame projections are memoized across samples
-  and submissions, and the zone set is projected + spatially indexed once
+* **Caching** — decrypted payloads are memoized by ciphertext, bound to
+  the wrapped flight key for envelope records (resubmitted or replayed
+  records cost nothing the second time), per-drone ``T+`` lookups are
+  cached, local-frame projections are memoized across samples and
+  submissions, and the zone set is projected + spatially indexed once
   and shared across every batch against the same zone set
   (:meth:`AuditEngine.zone_index_for`).
 * **Accounting** — per-stage wall time flows into a shared
@@ -46,6 +50,7 @@ from repro.core.verification import (
     VerificationReport,
     VerificationStatus,
 )
+from repro.crypto.envelope import flight_binding, open_records
 from repro.crypto.pkcs1 import decrypt_pkcs1_v15
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.crypto.schemes import SCHEME_RSA, get_scheme
@@ -106,6 +111,16 @@ class _BoundedCache(dict):
         self[key] = value
 
 
+_CacheKey = bytes | tuple[bytes, bytes]
+
+
+def _cache_key(binding: bytes, ciphertext: bytes) -> _CacheKey:
+    """Payload-cache key of one record: the ciphertext itself in paper mode,
+    ``(binding, ciphertext)`` for an envelope record.  Neither copies the
+    record bytes, which the submission already holds."""
+    return (binding, ciphertext) if binding else ciphertext
+
+
 # --- pool task functions (top-level so ProcessPoolExecutor can pickle) -----
 
 def _signature_verdict(tee_public_key: RsaPublicKey,
@@ -135,20 +150,25 @@ def _submission_crypto_task(encryption_key: RsaPrivateKey | None,
     """Decrypt one submission's records and authenticate its flight.
 
     ``records`` entries are ``(cached_payload, ciphertext, auth_blob)``;
-    a non-None cached payload skips decryption.  Returns
-    ``(payloads, bad_indices, decrypt_error, seconds)`` where exactly one
-    of ``payloads``/``decrypt_error`` is set.
+    a non-None cached payload skips decryption.  Envelope flights cost one
+    RSA unwrap however many records miss; paper-mode flights one per
+    missed record.  Returns ``(payloads, bad_indices, decrypt_error,
+    seconds)`` where exactly one of ``payloads``/``decrypt_error`` is set.
     """
     start = time.perf_counter()
-    payloads: list[bytes] = []
-    try:
-        for cached, ciphertext, _signature in records:
-            if cached is not None:
-                payloads.append(cached)
-            else:
-                payloads.append(decrypt_pkcs1_v15(encryption_key, ciphertext))
-    except EncryptionError as exc:
-        return None, [], str(exc), time.perf_counter() - start
+    payloads = [cached for cached, _ct, _sig in records]
+    missing = [i for i, payload in enumerate(payloads) if payload is None]
+    if missing:
+        try:
+            # The module-level name is looked up per call, so a patched
+            # ``decrypt_pkcs1_v15`` sees every private-key operation.
+            opened = open_records(encryption_key,
+                                  [ciphertext for _c, ciphertext, _s in records],
+                                  unwrap=decrypt_pkcs1_v15, select=missing)
+        except EncryptionError as exc:
+            return None, [], str(exc), time.perf_counter() - start
+        for i, payload in zip(missing, opened):
+            payloads[i] = payload
     pairs = [(payload, signature)
              for payload, (_c, _ct, signature) in zip(payloads, records)]
     bad = _signature_verdict(tee_public_key, pairs, hash_name, screen,
@@ -282,8 +302,8 @@ class AuditEngine:
         #: Reverse indices so :meth:`invalidate_drone` can purge exactly
         #: one drone's decrypted payloads; kept in lockstep with the
         #: payload cache via its eviction hook.
-        self._payload_owner: dict[bytes, str] = {}
-        self._drone_payload_keys: dict[str, set[bytes]] = {}
+        self._payload_owner: dict[_CacheKey, str] = {}
+        self._drone_payload_keys: dict[str, set[_CacheKey]] = {}
         self.zone_index_builds = 0
         self.zone_index_hits = 0
         self.payload_cache_hits = 0
@@ -308,17 +328,29 @@ class AuditEngine:
         the ciphertexts of a record set that no longer authenticates.
         """
         self._tee_key_cache.pop(drone_id, None)
-        for ciphertext in self._drone_payload_keys.pop(drone_id, ()):
-            self._payload_owner.pop(ciphertext, None)
-            dict.pop(self._payload_cache, ciphertext, None)
+        for key in self._drone_payload_keys.pop(drone_id, ()):
+            self._payload_owner.pop(key, None)
+            dict.pop(self._payload_cache, key, None)
 
-    def _payload_evicted(self, ciphertext, _payload) -> None:
+    def _flight_binding(self, submission: PoaSubmission) -> bytes | None:
+        """What a submission's records are cached under besides their bytes.
+
+        Envelope records open only under their flight's key, so they are
+        cached under a digest of the wrapped key as well as their own
+        bytes: a record spliced into another flight never hits.
+        """
+        if self.encryption_key is None:
+            return b""
+        return flight_binding([r.ciphertext for r in submission.records],
+                              self.encryption_key.byte_length)
+
+    def _payload_evicted(self, key, _payload) -> None:
         """Cache-eviction hook: drop the evicted key's reverse index."""
-        drone_id = self._payload_owner.pop(ciphertext, None)
+        drone_id = self._payload_owner.pop(key, None)
         if drone_id is not None:
             keys = self._drone_payload_keys.get(drone_id)
             if keys is not None:
-                keys.discard(ciphertext)
+                keys.discard(key)
                 if not keys:
                     del self._drone_payload_keys[drone_id]
 
@@ -414,15 +446,18 @@ class AuditEngine:
         # per-outcome errors before any crypto is spent on the submission.
         task_args = []
         task_slots = []
+        bindings = []
         for slot, submission in enumerate(submissions):
             try:
                 tee_key = self.tee_key_for(submission.drone_id)
             except AliDroneError as exc:
                 outcomes[slot].error = exc
                 continue
+            binding = self._flight_binding(submission)
             records = []
             for record in submission.records:
-                cached = self._payload_cache.get(record.ciphertext)
+                cached = (None if binding is None else self._payload_cache.get(
+                    _cache_key(binding, record.ciphertext)))
                 if cached is not None:
                     self.payload_cache_hits += 1
                 else:
@@ -433,6 +468,7 @@ class AuditEngine:
                               self.screen_signatures,
                               submission.scheme, submission.finalizer))
             task_slots.append(slot)
+            bindings.append(binding)
 
         # Phase 1 (pool): the CPU-bound decrypt + signature work.
         results = self._map_tasks(_submission_crypto_task, task_args)
@@ -442,8 +478,8 @@ class AuditEngine:
         zone_index = self.zone_index_for(zones)
         zone_circles = zone_index.circles
         telemetry_now = now if now is not None else 0.0
-        for (payloads, bad, decrypt_error, seconds), slot, args in zip(
-                results, task_slots, task_args):
+        for (payloads, bad, decrypt_error, seconds), slot, args, binding in zip(
+                results, task_slots, task_args, bindings):
             submission = submissions[slot]
             self.metrics.record("crypto", seconds, len(submission.records))
             with tracer.span("audit.submission",
@@ -470,11 +506,12 @@ class AuditEngine:
                     continue
                 for (_cached, ciphertext, _sig), payload in zip(args[1],
                                                                 payloads):
-                    self._payload_cache.insert(ciphertext, payload)
-                    if ciphertext not in self._payload_owner:
-                        self._payload_owner[ciphertext] = submission.drone_id
+                    key = _cache_key(binding, ciphertext)
+                    self._payload_cache.insert(key, payload)
+                    if key not in self._payload_owner:
+                        self._payload_owner[key] = submission.drone_id
                         self._drone_payload_keys.setdefault(
-                            submission.drone_id, set()).add(ciphertext)
+                            submission.drone_id, set()).add(key)
                 poa = ProofOfAlibi(
                     (SignedSample(payload=payload, signature=record.signature,
                                   scheme=submission.scheme)

@@ -30,6 +30,7 @@ from typing import Callable, Sequence
 from repro.core.poa import ProofOfAlibi, SignedSample, encrypt_poa
 from repro.core.protocol import PoaSubmission
 from repro.core.samples import GpsSample
+from repro.crypto.envelope import RECORD_MODE_ENVELOPE
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_rsa_keypair
 from repro.crypto.schemes import SCHEME_RSA, authenticate_payloads
 from repro.geo.geodesy import LocalFrame
@@ -89,14 +90,17 @@ def build_flight_submission(drone: FleetDrone,
                             samples: int, start: float,
                             rng: random.Random,
                             hash_name: str = "sha1",
-                            scheme: str = SCHEME_RSA) -> PoaSubmission:
+                            scheme: str = SCHEME_RSA,
+                            record_mode: str = RECORD_MODE_ENVELOPE,
+                            ) -> PoaSubmission:
     """One honest signed + encrypted submission for a fleet drone.
 
     The trace is a 1 Hz straight traverse starting ``TRACE_OFFSET_M``
     east of the frame origin, jittered per flight; with the default zone
     layouts (a disk at the origin) it verifies ACCEPTED.  ``scheme``
     selects the sample-authentication backend, so the same fleet can
-    exercise per-sample RSA, batch, chained, or Merkle intake.
+    exercise per-sample RSA, batch, chained, or Merkle intake;
+    ``record_mode`` picks the record encryption (see :func:`encrypt_poa`).
     """
     payloads = []
     y0 = rng.uniform(-40.0, 40.0)
@@ -112,7 +116,8 @@ def build_flight_submission(drone: FleetDrone,
         (SignedSample(payload=payload, signature=blob, scheme=scheme)
          for payload, blob in zip(payloads, blobs)),
         scheme=scheme, finalizer=finalizer)
-    records = encrypt_poa(poa, encryption_public_key, rng=rng)
+    records = encrypt_poa(poa, encryption_public_key, rng=rng,
+                          record_mode=record_mode)
     return PoaSubmission(
         drone_id=drone.drone_id,
         flight_id=f"flight-{drone.drone_id}-{flight_index}",

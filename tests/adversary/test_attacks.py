@@ -1,6 +1,6 @@
 """The adversary matrix: every attack class rejected, zero false accepts.
 
-A full 19-attack x 3-scenario sweep runs in CI (conformance-smoke); the
+A full 22-attack x 3-scenario sweep runs in CI (conformance-smoke); the
 tier-1 suite keeps one scenario so the matrix semantics — expected
 outcomes, control flights, stats bookkeeping, JSON shape — are pinned on
 every push without the CI-scale runtime.
@@ -28,8 +28,9 @@ EXPECTED_ATTACKS = {
     "bitflip_signature", "timestamp_reorder", "clock_skew_forgery",
     "teleport_spoof", "chain_truncation", "chain_splice",
     "chain_mac_forgery", "merkle_omitted_leaves", "merkle_over_redaction",
-    "merkle_cross_flight_splice", "merkle_forged_sibling", "nonce_replay",
-    "key_extraction",
+    "merkle_cross_flight_splice", "merkle_forged_sibling",
+    "envelope_tag_tamper", "wrapped_key_swap", "cross_flight_record_splice",
+    "nonce_replay", "key_extraction",
 }
 
 
@@ -73,6 +74,15 @@ class TestMatrixInvariants:
         # not allowed to collapse onto a single defensive layer.
         assert {"bad_signature", "no_poa", "out_of_order",
                 "nonce_replayed", "world_isolation"} <= set(stats.by_outcome)
+
+    def test_record_layer_attacks_die_at_decryption(self, report):
+        outcomes = {cell.attack: cell.result.outcome for cell in report.cells
+                    if cell.attack in ("envelope_tag_tamper",
+                                       "wrapped_key_swap",
+                                       "cross_flight_record_splice")}
+        assert outcomes == {"envelope_tag_tamper": "decrypt_failed",
+                            "wrapped_key_swap": "decrypt_failed",
+                            "cross_flight_record_splice": "decrypt_failed"}
 
     def test_report_ok_and_serializable(self, report):
         assert report.ok

@@ -160,7 +160,7 @@ class TestAttackCommand:
                      "--out", str(target), "--metrics-json", str(metrics)])
         out = capsys.readouterr().out
         assert code == 0
-        assert "attack matrix: 57 cells" in out
+        assert "attack matrix: 66 cells" in out
         assert "false accepts       : 0" in out
         assert "verdict" in out and "OK" in out
 

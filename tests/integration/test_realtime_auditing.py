@@ -117,7 +117,7 @@ class TestLiveIncrementalVerification:
         true real-time auditing, not just real-time transport."""
         from repro.core.incremental import EntryVerdict, IncrementalVerifier
         from repro.core.poa import SignedSample
-        from repro.crypto.pkcs1 import decrypt_pkcs1_v15
+        from repro.crypto.envelope import StreamOpener
 
         server, client, drone_id, record = streamed_world
         zones = [r.zone for r in server.zones.all_zones()]
@@ -127,10 +127,10 @@ class TestLiveIncrementalVerification:
         records = encrypt_poa(record.poa, server.public_encryption_key,
                               rng=random.Random(67))
         endpoint = stream_records(records, record.flight_id)
+        opener = StreamOpener(server._encryption_key)
         verdicts = []
         for streamed in endpoint.records():
-            payload = decrypt_pkcs1_v15(server._encryption_key,
-                                        streamed.ciphertext)
+            (payload,) = opener.push(streamed.ciphertext)
             verdicts.append(verifier.push(SignedSample(
                 payload=payload, signature=streamed.signature)))
         assert all(v is EntryVerdict.ACCEPTED for v in verdicts)
