@@ -14,7 +14,7 @@ import time
 
 from repro.crypto.hmac_sign import generate_hmac_key, hmac_sign
 from repro.crypto.pkcs1 import sign_pkcs1_v15
-from repro.extensions.batch_signing import batch_digest
+from repro.crypto.schemes import SCHEME_BATCH, authenticate_payloads
 from repro.perf.costs import RASPBERRY_PI_3
 from repro.perf.cpu import CpuUtilizationModel
 from repro.perf.memory import RASPBERRY_PI_MEMORY
@@ -33,7 +33,7 @@ def test_signing_scheme_ablation(benchmark, residential_scenario, emit,
             sign_pkcs1_v15(rsa_1024, payload)
 
     def batch_rsa():
-        sign_pkcs1_v15(rsa_1024, batch_digest(tuple(payloads)))
+        authenticate_payloads(rsa_1024, payloads, SCHEME_BATCH)
 
     def per_sample_hmac():
         for payload in payloads:

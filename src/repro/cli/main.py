@@ -846,6 +846,8 @@ def _cmd_calibrate(args: argparse.Namespace) -> int:
 
 def build_parser() -> argparse.ArgumentParser:
     """The top-level argument parser."""
+    from repro.crypto.schemes import scheme_ids
+
     parser = argparse.ArgumentParser(
         prog="alidrone",
         description="AliDrone (ICDCS 2018) reproduction toolkit")
@@ -901,8 +903,7 @@ def build_parser() -> argparse.ArgumentParser:
                                   "first sit far from the traces "
                                   "(default 1)")
     audit_batch.add_argument("--scheme", default="rsa-v15",
-                             choices=("rsa-v15", "rsa-batch", "hash-chain",
-                                      "merkle-disclosure"),
+                             choices=scheme_ids(),
                              help="sample-authentication scheme the fleet "
                                   "signs under (default rsa-v15)")
     audit_batch.add_argument("--workers", type=int, default=1,
@@ -955,8 +956,7 @@ def build_parser() -> argparse.ArgumentParser:
                         help="randomized conformance trajectories "
                              "(default 200)")
     attack.add_argument("--scheme", default="rsa-v15",
-                        choices=("rsa-v15", "rsa-batch", "hash-chain",
-                                 "merkle-disclosure"),
+                        choices=scheme_ids(),
                         help="sample-authentication scheme the genuine "
                              "flights are flown under (default rsa-v15)")
     attack.add_argument("--attack-key-bits", type=int, default=512,
@@ -1003,8 +1003,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--admission-burst", type=float, default=32.0,
                        help="token-bucket burst (default 32)")
     serve.add_argument("--scheme", default="rsa-v15",
-                       choices=("rsa-v15", "rsa-batch", "hash-chain",
-                                "merkle-disclosure"),
+                       choices=scheme_ids(),
                        help="sample-authentication scheme the fleet "
                             "signs under (default rsa-v15)")
     serve.add_argument("--store", metavar="PATH", default=":memory:",

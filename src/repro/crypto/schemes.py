@@ -150,7 +150,22 @@ class ChainFinalizer:
 # --- the scheme interface ---------------------------------------------------
 
 class SampleSigner(abc.ABC):
-    """Flight-scoped signing state: one per flight, inside the TEE."""
+    """Flight-scoped signing state: one per flight, inside the TEE.
+
+    ``rsa_signatures`` counts the private-key operations this signer has
+    spent under ``T-``; the GPS Sampler TA charges them to the device's
+    cost counters.
+    """
+
+    def __init__(self, key: RsaPrivateKey, hash_name: str):
+        self._key = key
+        self._hash_name = hash_name
+        self.rsa_signatures = 0
+
+    def _rsa_sign(self, message: bytes) -> bytes:
+        """One RSASSA-PKCS1-v1_5 signature under ``T-``, counted."""
+        self.rsa_signatures += 1
+        return sign_pkcs1_v15(self._key, message, self._hash_name)
 
     @abc.abstractmethod
     def sign_sample(self, payload: bytes) -> bytes:
@@ -172,6 +187,9 @@ class AuthScheme(abc.ABC):
     """
 
     id: str = "scheme"
+    #: Whether each sample's blob stands alone.  Such a scheme needs no
+    #: flight boundary, so the TA can sign right after session open.
+    per_sample: bool = False
 
     @abc.abstractmethod
     def new_signer(self, key: RsaPrivateKey, hash_name: str = "sha1",
@@ -215,12 +233,8 @@ class AuthScheme(abc.ABC):
 # --- rsa-v15: the paper's default ------------------------------------------
 
 class _RsaPerSampleSigner(SampleSigner):
-    def __init__(self, key: RsaPrivateKey, hash_name: str):
-        self._key = key
-        self._hash_name = hash_name
-
     def sign_sample(self, payload: bytes) -> bytes:
-        return sign_pkcs1_v15(self._key, payload, self._hash_name)
+        return self._rsa_sign(payload)
 
     def finalize_flight(self) -> bytes:
         return b""
@@ -230,6 +244,7 @@ class RsaPerSampleScheme(AuthScheme):
     """One RSASSA-PKCS1-v1_5 signature per sample (paper §IV-C2)."""
 
     id = SCHEME_RSA
+    per_sample = True
 
     def new_signer(self, key: RsaPrivateKey, hash_name: str = "sha1",
                    rng: random.Random | None = None) -> SampleSigner:
@@ -262,8 +277,7 @@ class RsaPerSampleScheme(AuthScheme):
 
 class _BatchSigner(SampleSigner):
     def __init__(self, key: RsaPrivateKey, hash_name: str):
-        self._key = key
-        self._hash_name = hash_name
+        super().__init__(key, hash_name)
         self._payloads: list[bytes] = []
 
     def sign_sample(self, payload: bytes) -> bytes:
@@ -271,8 +285,7 @@ class _BatchSigner(SampleSigner):
         return b""
 
     def finalize_flight(self) -> bytes:
-        return sign_pkcs1_v15(self._key, framed_sha256(self._payloads),
-                              self._hash_name)
+        return self._rsa_sign(framed_sha256(self._payloads))
 
 
 class BatchDigestScheme(AuthScheme):
@@ -301,14 +314,12 @@ class BatchDigestScheme(AuthScheme):
 class ChainSigner(SampleSigner):
     def __init__(self, key: RsaPrivateKey, hash_name: str,
                  rng: random.Random | None):
+        super().__init__(key, hash_name)
         rng = rng or random.SystemRandom()
-        self._key = key
-        self._hash_name = hash_name
         self._chain_key = bytes(rng.randrange(256)
                                 for _ in range(CHAIN_KEY_LENGTH))
         self._anchor = chain_anchor(self._chain_key)
-        self._commitment = sign_pkcs1_v15(
-            key, chain_commit_payload(self._anchor), hash_name)
+        self._commitment = self._rsa_sign(chain_commit_payload(self._anchor))
         self._previous = self._anchor
         self._count = 0
 
@@ -327,10 +338,8 @@ class ChainSigner(SampleSigner):
         return link
 
     def finalize_flight(self) -> bytes:
-        close = sign_pkcs1_v15(
-            self._key,
-            chain_close_payload(self._anchor, self._previous, self._count),
-            self._hash_name)
+        close = self._rsa_sign(
+            chain_close_payload(self._anchor, self._previous, self._count))
         return ChainFinalizer(
             count=self._count, anchor=self._anchor,
             chain_key=self._chain_key,
@@ -449,8 +458,7 @@ class MerkleSigner(SampleSigner):
     """Accumulates the flight's payloads; one RSA operation at flight end."""
 
     def __init__(self, key: RsaPrivateKey, hash_name: str):
-        self._key = key
-        self._hash_name = hash_name
+        super().__init__(key, hash_name)
         self._payloads: list[bytes] = []
 
     def sign_sample(self, payload: bytes) -> bytes:
@@ -473,9 +481,8 @@ class MerkleSigner(SampleSigner):
 
         tree = MerkleTree(self._payloads)
         epoch = self._epoch()
-        signature = sign_pkcs1_v15(
-            self._key, merkle_root_payload(tree.root, epoch, tree.count),
-            self._hash_name)
+        signature = self._rsa_sign(
+            merkle_root_payload(tree.root, epoch, tree.count))
         return MerkleFinalizer(count=tree.count, epoch=epoch, root=tree.root,
                                root_signature=signature).to_bytes()
 

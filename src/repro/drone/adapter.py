@@ -17,36 +17,30 @@ import random
 from repro.core.poa import EncryptedPoaRecord, ProofOfAlibi, SignedSample, encrypt_poa
 from repro.core.samples import GpsSample
 from repro.crypto.rsa import RsaPublicKey
-from repro.crypto.schemes import (
-    SCHEME_BATCH,
-    SCHEME_CHAIN,
-    SCHEME_MERKLE,
-    SCHEME_RSA,
-)
-from repro.errors import ConfigurationError, TeeError
+from repro.crypto.schemes import SCHEME_RSA, get_scheme
+from repro.errors import ConfigurationError, SchemeError, TeeError
 from repro.faults.retry import RetryPolicy, RetryStats, execute_with_retry
 from repro.gps.receiver import SimulatedGpsReceiver
 from repro.obs.trace import get_tracer
 from repro.sim.clock import SimClock
 from repro.tee.attestation import TrustZoneDevice
-from repro.tee.chained_sampler_ta import (
-    CHAINED_SAMPLER_UUID,
+from repro.tee.gps_sampler_ta import (
     CMD_FINALIZE_FLIGHT,
+    CMD_GET_GPS_AUTH,
     CMD_START_FLIGHT,
+    GPS_SAMPLER_UUID,
 )
-from repro.tee.gps_sampler_ta import CMD_GET_GPS_AUTH, GPS_SAMPLER_UUID
 
 
 class Adapter:
     """Normal-world daemon wiring receiver, TEE client, and virtual clock.
 
-    ``scheme`` selects the sample-authentication backend and therefore
-    which TA the session targets: per-sample RSA (default) talks to the
-    GPS Sampler TA, ``hash-chain`` to the chained sampler (one commitment
-    at :meth:`start`, one closure at :meth:`finalize_flight`),
-    ``rsa-batch`` to the batch sampler (empty per-sample blobs, one batch
-    signature at finalize), and ``merkle-disclosure`` to the Merkle
-    sampler (empty blobs, one root commitment at finalize).
+    ``scheme`` selects the sample-authentication scheme the GPS Sampler
+    TA session signs under (per-sample RSA by default).  :meth:`start`
+    opens the session and sends ``StartFlight``; each
+    :meth:`get_gps_auth` is one ``GetGPSAuth``; :meth:`finalize_flight`
+    sends ``FinalizeFlight`` and returns the scheme's finalizer blob
+    (empty for per-sample RSA).
     """
 
     def __init__(self, device: TrustZoneDevice, receiver: SimulatedGpsReceiver,
@@ -56,10 +50,10 @@ class Adapter:
                  retry_stats: RetryStats | None = None,
                  scheme: str = SCHEME_RSA,
                  chain_seed: int | None = None):
-        if scheme not in (SCHEME_RSA, SCHEME_BATCH, SCHEME_CHAIN,
-                          SCHEME_MERKLE):
-            raise ConfigurationError(
-                f"unknown authentication scheme {scheme!r}")
+        try:
+            get_scheme(scheme)
+        except SchemeError as exc:
+            raise ConfigurationError(str(exc)) from exc
         self.device = device
         self.receiver = receiver
         self.clock = clock
@@ -75,67 +69,33 @@ class Adapter:
         self.retry_stats = retry_stats
         self._retry_rng = retry_rng if retry_rng is not None else random.Random(0)
         self._session_id: int | None = None
-        self._samples_taken = 0
 
     # --- TEE session management ------------------------------------------
 
-    def _sampler_uuid(self):
-        if self.scheme == SCHEME_CHAIN:
-            return CHAINED_SAMPLER_UUID
-        if self.scheme == SCHEME_MERKLE:
-            from repro.tee.merkle_sampler_ta import MERKLE_SAMPLER_UUID
-
-            return MERKLE_SAMPLER_UUID
-        if self.scheme == SCHEME_BATCH:
-            from repro.extensions.batch_signing import BATCH_SAMPLER_UUID
-
-            return BATCH_SAMPLER_UUID
-        return GPS_SAMPLER_UUID
-
-    def _auth_command(self) -> str:
-        if self.scheme == SCHEME_BATCH:
-            from repro.extensions.batch_signing import CMD_RECORD_GPS
-
-            return CMD_RECORD_GPS
-        return CMD_GET_GPS_AUTH
+    def _invoke(self, command: str, operation: str):
+        """One TA command, retried under :attr:`retry_policy`."""
+        return execute_with_retry(
+            lambda: self.device.client.invoke(self._session_id, command),
+            clock=self.clock, policy=self.retry_policy,
+            rng=self._retry_rng, stats=self.retry_stats,
+            operation=operation)
 
     def start(self) -> None:
-        """Open the sampler TA session for this scheme (idempotent)."""
+        """Open the GPS Sampler session and start a flight (idempotent)."""
         if self._session_id is not None:
             return
-        params: dict = {"hash_name": self.hash_name}
-        if self.scheme == SCHEME_CHAIN and self.chain_seed is not None:
-            params["chain_seed"] = self.chain_seed
         self._session_id = self.device.client.open_session(
-            self._sampler_uuid(), params)
-        self._samples_taken = 0
-        if self.scheme in (SCHEME_CHAIN, SCHEME_MERKLE):
-            # Flight start: the chained TA commits to the hash-chain
-            # anchor; the Merkle TA opens its accumulation window.
-            self.device.client.invoke(self._session_id, CMD_START_FLIGHT)
+            GPS_SAMPLER_UUID, {"hash_name": self.hash_name,
+                               "scheme": self.scheme,
+                               "chain_seed": self.chain_seed})
+        self._invoke(CMD_START_FLIGHT, "start_flight")
 
     def finalize_flight(self) -> bytes:
-        """Close out the flight and return the scheme's finalizer blob.
-
-        Per-sample RSA has none; the batch scheme returns its one trace
-        signature (or nothing when no sample was ever taken); the chained
-        scheme closes the chain and discloses the chain key.
-        """
+        """Close out the flight and return the scheme's finalizer blob."""
         if self._session_id is None:
             raise TeeError("Adapter not started: no TA session open")
-        if self.scheme in (SCHEME_CHAIN, SCHEME_MERKLE):
-            output = self.device.client.invoke(self._session_id,
-                                               CMD_FINALIZE_FLIGHT)
-            return bytes(output["finalizer"])
-        if self.scheme == SCHEME_BATCH:
-            if self._samples_taken == 0:
-                return b""
-            from repro.extensions.batch_signing import CMD_FINALIZE_BATCH
-
-            output = self.device.client.invoke(self._session_id,
-                                               CMD_FINALIZE_BATCH)
-            return bytes(output["finalizer"])
-        return b""
+        return bytes(self._invoke(CMD_FINALIZE_FLIGHT,
+                                  "finalize_flight")["finalizer"])
 
     def stop(self) -> None:
         """Close the TA session."""
@@ -173,14 +133,8 @@ class Adapter:
         """``GetGPSAuth()``: an authenticated sample from the secure world."""
         if self._session_id is None:
             raise TeeError("Adapter not started: no TA session open")
-        command = self._auth_command()
         with get_tracer().span("drone.adapter.get_gps_auth"):
-            output = execute_with_retry(
-                lambda: self.device.client.invoke(self._session_id, command),
-                clock=self.clock, policy=self.retry_policy,
-                rng=self._retry_rng, stats=self.retry_stats,
-                operation="get_gps_auth")
-        self._samples_taken += 1
+            output = self._invoke(CMD_GET_GPS_AUTH, "get_gps_auth")
         return SignedSample.from_ta_output(output)
 
     # --- PoA persistence -------------------------------------------------------

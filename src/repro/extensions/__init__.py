@@ -3,8 +3,12 @@
 * 3-D physical model (ellipsoid vs cylinder NFZs) — §VII-B1
 * Arbitrary polygon NFZs via smallest enclosing circle — §VII-B2
 * Privacy-preserving verification with one-time keys — §VII-B3
-* Sign-all-traces-at-once batching — §VII-A1(b)
 * Symmetric (HMAC) signing with an ephemeral TEE-Auditor key — §VII-A1(a)
+
+Sign-all-traces-at-once batching (§VII-A1(b)) is the ``rsa-batch`` scheme
+in :mod:`repro.crypto.schemes`: the GPS Sampler TA signs under it when a
+session opens with ``scheme="rsa-batch"``, and the verification pipeline
+audits it like any other scheme.
 """
 
 import uuid as _uuid
@@ -27,13 +31,6 @@ from repro.extensions.privacy import (
     build_private_poa,
     keys_for_incident,
     verify_private_disclosure,
-)
-from repro.extensions.batch_signing import (
-    BatchGpsSamplerTA,
-    BatchSignedPoa,
-    CMD_RECORD_GPS,
-    CMD_FINALIZE_BATCH,
-    verify_batch_poa,
 )
 from repro.extensions.symmetric import (
     SymmetricGpsSamplerTA,
@@ -67,11 +64,6 @@ __all__ = [
     "build_private_poa",
     "keys_for_incident",
     "verify_private_disclosure",
-    "BatchGpsSamplerTA",
-    "BatchSignedPoa",
-    "CMD_RECORD_GPS",
-    "CMD_FINALIZE_BATCH",
-    "verify_batch_poa",
     "SymmetricGpsSamplerTA",
     "SymmetricSignedSample",
     "AuditorFlightKey",

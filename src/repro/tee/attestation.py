@@ -24,7 +24,12 @@ from repro.gps.receiver import SimulatedGpsReceiver
 from repro.tee.gps_driver import SecureGpsDriver
 from repro.tee.gps_sampler_ta import SIGN_KEY_ENTRY, GpsSamplerTA
 from repro.tee.monitor import SecureMonitor
-from repro.tee.optee import OpTeeCore, TeeClient, sign_trusted_app
+from repro.tee.optee import (
+    OpTeeCore,
+    TeeClient,
+    _ta_code_bytes,
+    sign_trusted_app,
+)
 from repro.tee.secure_storage import SealedStorage
 from repro.tee.worlds import SecureKeyHandle
 
@@ -168,30 +173,15 @@ def provision_device(device_id: str, *, key_bits: int = 1024,
 
     tee_public_key = monitor.secure_boot_call(_mint_tee_keypair)
 
-    # Build, sign, and install the GPS Sampler TA image, plus the
-    # amortized-authentication variants so a provisioned device can fly
-    # under any registered scheme.  (The batch TA lives in extensions,
-    # whose package imports this module — import it lazily.)
-    from repro.tee.chained_sampler_ta import ChainedGpsSamplerTA
-    from repro.tee.merkle_sampler_ta import MerkleGpsSamplerTA
-
+    # Build, sign, and install the GPS Sampler TA image — the one TA that
+    # signs under every registered scheme — and measure that same image.
     image = sign_trusted_app(GpsSamplerTA, GpsSamplerTA.UUID, vendor_key)
     core.ta_store.install(image)
-    core.ta_store.install(sign_trusted_app(
-        ChainedGpsSamplerTA, ChainedGpsSamplerTA.UUID, vendor_key))
-    core.ta_store.install(sign_trusted_app(
-        MerkleGpsSamplerTA, MerkleGpsSamplerTA.UUID, vendor_key))
-    from repro.extensions.batch_signing import BatchGpsSamplerTA
-
-    core.ta_store.install(sign_trusted_app(
-        BatchGpsSamplerTA, BatchGpsSamplerTA.UUID, vendor_key))
 
     # Issue the attestation quote: manufacturer-signed binding of the
     # device serial, T+, and the shipped TA image measurement.
-    from repro.tee.optee import _ta_code_bytes
-
     measurement = hashlib.sha256(
-        _ta_code_bytes(GpsSamplerTA, GpsSamplerTA.UUID)).digest()
+        _ta_code_bytes(image.factory, image.ta_uuid)).digest()
     quote = DeviceQuote.issue(device_id, tee_public_key, measurement,
                               vendor_key)
 

@@ -1,18 +1,15 @@
-"""Tests for the batch-signing and symmetric-key extension TAs."""
+"""Tests for sign-all-at-once batching (the GPS Sampler TA under
+``rsa-batch``) and the symmetric-key extension TA."""
 
 import random
 
 import pytest
 
+from repro.core.poa import ProofOfAlibi, SignedSample
+from repro.crypto.digest import framed_sha256
+from repro.crypto.schemes import SCHEME_BATCH, get_scheme
 from repro.errors import TrustedAppError, VerificationError
 from repro.extensions import install_extension_ta
-from repro.extensions.batch_signing import (
-    CMD_FINALIZE_BATCH,
-    CMD_RECORD_GPS,
-    BatchGpsSamplerTA,
-    BatchSignedPoa,
-    batch_digest,
-)
 from repro.extensions.symmetric import (
     CMD_GET_GPS_AUTH_SYM,
     CMD_INIT_FLIGHT_KEY,
@@ -20,13 +17,20 @@ from repro.extensions.symmetric import (
     SymmetricGpsSamplerTA,
     SymmetricSignedSample,
 )
+from repro.tee.gps_sampler_ta import (
+    CMD_FINALIZE_FLIGHT,
+    CMD_GET_GPS_AUTH,
+    CMD_START_FLIGHT,
+    GPS_SAMPLER_UUID,
+)
 
 
 @pytest.fixture()
-def batch_platform(make_platform, vendor_key):
+def batch_platform(make_platform):
     device, receiver, clock = make_platform()
-    install_extension_ta(device, BatchGpsSamplerTA, vendor_key)
-    sid = device.client.open_session(BatchGpsSamplerTA.UUID)
+    sid = device.client.open_session(GPS_SAMPLER_UUID,
+                                     {"scheme": SCHEME_BATCH})
+    device.client.invoke(sid, CMD_START_FLIGHT)
     return device, clock, sid
 
 
@@ -39,69 +43,71 @@ def sym_platform(make_platform, vendor_key):
     return device, clock, sid
 
 
+def record(device, clock, sid, samples, step=1.0):
+    """Take ``samples`` fixes; returns their ``(payload, blob)`` entries."""
+    entries = []
+    for _ in range(samples):
+        clock.advance(step)
+        out = device.client.invoke(sid, CMD_GET_GPS_AUTH)
+        entries.append((out["payload"], out["signature"]))
+    return entries
+
+
+def batch_verifies(device, entries, finalizer):
+    return get_scheme(SCHEME_BATCH).verify(device.tee_public_key, entries,
+                                           finalizer) == []
+
+
 class TestBatchSigning:
     def test_record_and_finalize(self, batch_platform):
         device, clock, sid = batch_platform
-        for i in range(4):
-            clock.advance(1.0)
-            out = device.client.invoke(sid, CMD_RECORD_GPS)
-            assert out["buffered"] == i + 1
-            assert out["signature"] == b""
-        out = device.client.invoke(sid, CMD_FINALIZE_BATCH)
-        poa = BatchSignedPoa(payloads=out["payloads"],
-                             signature=out["signature"])
+        entries = record(device, clock, sid, 4)
+        assert all(blob == b"" for _payload, blob in entries)
+        out = device.client.invoke(sid, CMD_FINALIZE_FLIGHT)
+        poa = ProofOfAlibi(
+            (SignedSample(payload, blob, SCHEME_BATCH)
+             for payload, blob in entries),
+            scheme=SCHEME_BATCH, finalizer=out["finalizer"])
         assert len(poa) == 4
-        assert poa.verify(device.tee_public_key)
+        assert batch_verifies(device, entries, poa.finalizer)
         trace = poa.trace()
         assert trace.duration == pytest.approx(3.0, abs=0.05)
 
     def test_single_signature_for_whole_flight(self, batch_platform):
         device, clock, sid = batch_platform
-        for _ in range(10):
-            clock.advance(0.5)
-            device.client.invoke(sid, CMD_RECORD_GPS)
-        device.client.invoke(sid, CMD_FINALIZE_BATCH)
+        record(device, clock, sid, 10, step=0.5)
+        device.client.invoke(sid, CMD_FINALIZE_FLIGHT)
         assert device.core.op_counters["rsa_sign_512"] == 1
-        assert device.core.op_counters["batch_records"] == 10
+        assert device.core.op_counters["gps_auth_samples"] == 10
 
     def test_tampered_payload_fails(self, batch_platform):
         device, clock, sid = batch_platform
-        clock.advance(1.0)
-        device.client.invoke(sid, CMD_RECORD_GPS)
-        out = device.client.invoke(sid, CMD_FINALIZE_BATCH)
-        payloads = list(out["payloads"])
-        payloads[0] = payloads[0][:-1] + bytes([payloads[0][-1] ^ 1])
-        poa = BatchSignedPoa(payloads=tuple(payloads),
-                             signature=out["signature"])
-        assert not poa.verify(device.tee_public_key)
+        entries = record(device, clock, sid, 1)
+        out = device.client.invoke(sid, CMD_FINALIZE_FLIGHT)
+        payload, blob = entries[0]
+        entries[0] = (payload[:-1] + bytes([payload[-1] ^ 1]), blob)
+        assert not batch_verifies(device, entries, out["finalizer"])
 
     def test_dropped_payload_fails(self, batch_platform):
         device, clock, sid = batch_platform
-        for _ in range(3):
-            clock.advance(1.0)
-            device.client.invoke(sid, CMD_RECORD_GPS)
-        out = device.client.invoke(sid, CMD_FINALIZE_BATCH)
-        poa = BatchSignedPoa(payloads=out["payloads"][:-1],
-                             signature=out["signature"])
-        assert not poa.verify(device.tee_public_key)
-
-    def test_finalize_empty_rejected(self, batch_platform):
-        device, _, sid = batch_platform
-        with pytest.raises(TrustedAppError):
-            device.client.invoke(sid, CMD_FINALIZE_BATCH)
+        entries = record(device, clock, sid, 3)
+        out = device.client.invoke(sid, CMD_FINALIZE_FLIGHT)
+        assert not batch_verifies(device, entries[:-1], out["finalizer"])
 
     def test_buffer_resets_between_flights(self, batch_platform):
         device, clock, sid = batch_platform
-        clock.advance(1.0)
-        device.client.invoke(sid, CMD_RECORD_GPS)
-        device.client.invoke(sid, CMD_FINALIZE_BATCH)
-        clock.advance(1.0)
-        assert device.client.invoke(sid, CMD_RECORD_GPS)["buffered"] == 1
+        record(device, clock, sid, 1)
+        device.client.invoke(sid, CMD_FINALIZE_FLIGHT)
+        device.client.invoke(sid, CMD_START_FLIGHT)
+        second = record(device, clock, sid, 1)
+        out = device.client.invoke(sid, CMD_FINALIZE_FLIGHT)
+        # The second finalizer covers the second flight's sample alone.
+        assert batch_verifies(device, second, out["finalizer"])
 
     def test_digest_length_framing(self):
         """Adjacent payloads cannot be re-split without detection."""
-        assert (batch_digest((b"ab", b"c"))
-                != batch_digest((b"a", b"bc")))
+        assert (framed_sha256((b"ab", b"c"))
+                != framed_sha256((b"a", b"bc")))
 
 
 class TestSymmetricSigning:

@@ -18,6 +18,7 @@ FAST_EXAMPLES = [
     "delivery_route_planning.py",
     "privacy_preserving_audit.py",
     "spoofing_defense.py",
+    "low_power_signing.py",
 ]
 
 SLOW_EXAMPLES = [

@@ -1,4 +1,4 @@
-"""The chained GPS Sampler TA: commitment, links, and flight closure."""
+"""The GPS Sampler TA under ``hash-chain``: commitment, links, closure."""
 
 from __future__ import annotations
 
@@ -8,16 +8,17 @@ from repro.crypto.pkcs1 import verify_pkcs1_v15
 from repro.crypto.schemes import (
     SCHEME_CHAIN,
     ChainFinalizer,
+    chain_anchor,
     chain_commit_payload,
     get_scheme,
 )
 from repro.errors import TrustedAppError
-from repro.tee.chained_sampler_ta import (
-    CHAINED_SAMPLER_UUID,
+from repro.tee.gps_sampler_ta import (
     CMD_FINALIZE_FLIGHT,
+    CMD_GET_GPS_AUTH,
     CMD_START_FLIGHT,
+    GPS_SAMPLER_UUID,
 )
-from repro.tee.gps_sampler_ta import CMD_GET_GPS_AUTH
 
 
 @pytest.fixture()
@@ -27,8 +28,8 @@ def platform(make_platform):
 
 def _open(device, chain_seed=99):
     return device.client.open_session(
-        CHAINED_SAMPLER_UUID, {"hash_name": "sha1",
-                               "chain_seed": chain_seed})
+        GPS_SAMPLER_UUID, {"hash_name": "sha1", "scheme": SCHEME_CHAIN,
+                           "chain_seed": chain_seed})
 
 
 def _fly(device, clock, samples=5, session=None):
@@ -60,10 +61,12 @@ class TestChainedSamplerTA:
 
     def test_commitment_verifies_under_t_plus(self, platform):
         device, _, clock = platform
-        start, _, _ = _fly(device, clock)
+        start, _, final = _fly(device, clock)
+        assert start["scheme"] == SCHEME_CHAIN
+        fin = ChainFinalizer.from_bytes(final["finalizer"])
         assert verify_pkcs1_v15(device.tee_public_key,
-                                chain_commit_payload(start["anchor"]),
-                                start["commitment_signature"])
+                                chain_commit_payload(fin.anchor),
+                                fin.commitment_signature)
 
     def test_flight_verifies_under_chain_scheme(self, platform):
         device, _, clock = platform
@@ -71,7 +74,7 @@ class TestChainedSamplerTA:
         assert final["scheme"] == SCHEME_CHAIN
         fin = ChainFinalizer.from_bytes(final["finalizer"])
         assert fin.count == 6
-        assert fin.anchor == start["anchor"]
+        assert fin.anchor == chain_anchor(fin.chain_key)
         assert get_scheme(SCHEME_CHAIN).verify(
             device.tee_public_key, entries, final["finalizer"]) == []
 
@@ -105,9 +108,9 @@ class TestChainedSamplerTA:
         after = {k: v for k, v in counters.items()
                  if k.startswith("rsa_sign_")}
         assert sum(after.values()) - sum(before.values()) == 2
-        assert counters["chain_links"] == 8
-        assert counters["chain_commitments"] == 1
-        assert counters["chain_finalizations"] == 1
+        assert counters["gps_auth_samples"] == 8
+        assert counters["flights_started"] == 1
+        assert counters["flights_finalized"] == 1
 
     def test_seeded_chain_is_deterministic(self, make_platform):
         def one_flight():

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from repro.core.protocol import DroneRegistrationRequest
+from repro.crypto.schemes import scheme_ids
 from repro.errors import (
     ConfigurationError,
     RegistrationError,
@@ -104,24 +105,29 @@ class TestSpoofingDetectorUnit:
 
 
 class TestSamplerDeclinesWhenSpoofed:
-    def test_ta_refuses_to_sign_after_teleport(self, make_device, frame):
+    @pytest.mark.parametrize("scheme", scheme_ids())
+    def test_ta_refuses_to_sign_after_teleport(self, make_device, frame,
+                                               scheme):
         # A trajectory that teleports 50 km at t = +5 s.
         source = WaypointSource([(T0, 0.0, 0.0), (T0 + 4.9, 25.0, 0.0),
                                  (T0 + 5.0, 50_000.0, 0.0),
                                  (T0 + 20.0, 50_100.0, 0.0)])
+        from repro.drone.adapter import Adapter
         from repro.gps.receiver import SimulatedGpsReceiver
         clock = SimClock(T0)
         receiver = SimulatedGpsReceiver(source, frame, update_rate_hz=5.0,
                                         start_time=T0, seed=1)
         device = make_device(seed=32)
         device.attach_gps(receiver, clock, spoof_detection=True)
-        sid = device.client.open_session(GPS_SAMPLER_UUID)
+        # The Adapter opens the sampler under ``scheme`` and starts a flight.
+        adapter = Adapter(device, receiver, clock, scheme=scheme)
+        adapter.start()
 
         clock.advance(1.0)
-        device.client.invoke(sid, CMD_GET_GPS_AUTH)      # clean: signs
+        adapter.get_gps_auth()                            # clean: signs
         clock.advance_to(T0 + 6.0)                        # after the jump
         with pytest.raises(TrustedAppError):
-            device.client.invoke(sid, CMD_GET_GPS_AUTH)
+            adapter.get_gps_auth()
         assert device.core.op_counters["spoof_declines"] == 1
 
     def test_detector_off_by_default(self, make_platform):
