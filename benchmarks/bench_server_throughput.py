@@ -6,9 +6,9 @@ axes:
 * the **serial seed path** — ``decrypt_poa`` + ``PoaVerifier.verify`` one
   submission at a time, exactly what ``AliDroneServer.receive_poa`` did
   before the engine existed;
-* the **batch engine** at 1, 2 and N workers (``AuditEngine.audit_batch``),
-  which adds BGR signature screening, payload/projection caching and
-  pool fan-out of the crypto phase;
+* the **batch engine** (``AuditEngine.audit_batch``), which adds BGR
+  signature screening and payload/projection caching, cold and with a
+  warm payload cache;
 * the **verify-only hot path** (no RSAES layer) — serial
   ``PoaVerifier.verify`` vs. ``AuditEngine.audit_poas``, which isolates
   the screening win from decryption cost.
@@ -20,7 +20,6 @@ or under pytest via ``test_server_throughput``.
 from __future__ import annotations
 
 import argparse
-import os
 import random
 import time
 
@@ -85,14 +84,14 @@ def run_serial_seed_path(encryption_key, tee_keys, zones, submissions):
 
 
 def run_engine(encryption_key, tee_keys, zones, submissions, *,
-               workers: int, screen: bool = True):
+               screen: bool = True):
     """A fresh engine per run so caches start cold (fair vs. the seed)."""
     engine = AuditEngine(
         PoaVerifier(FRAME),
         tee_key_lookup=lambda d: tee_keys[d].public_key,
         encryption_key=encryption_key,
         zones_provider=lambda: zones,
-        workers=workers, screen_signatures=screen)
+        screen_signatures=screen)
     result = engine.audit_batch(submissions, record_event=False)
     return result.reports, result.wall_time_s
 
@@ -105,12 +104,10 @@ def run_serial_verify_only(tee_keys, zones, submissions, decrypted):
     return reports, time.perf_counter() - start
 
 
-def run_engine_verify_only(tee_keys, zones, submissions, decrypted, *,
-                           workers: int):
+def run_engine_verify_only(tee_keys, zones, submissions, decrypted):
     engine = AuditEngine(
         PoaVerifier(FRAME),
-        tee_key_lookup=lambda d: tee_keys[d].public_key,
-        workers=workers)
+        tee_key_lookup=lambda d: tee_keys[d].public_key)
     items = [(poa, tee_keys[s.drone_id].public_key)
              for poa, s in zip(decrypted, submissions)]
     start = time.perf_counter()
@@ -193,10 +190,8 @@ def build_payload(n_submissions: int, samples: int, key_bits: int,
 
 
 def run_benchmark(n_submissions: int = 50, samples: int = 20,
-                  key_bits: int = 512, max_workers: int | None = None,
+                  key_bits: int = 512,
                   repetitions: int = 5) -> tuple[str, dict]:
-    if max_workers is None:
-        max_workers = max(2, min(4, os.cpu_count() or 1))
     encryption_key, tee_keys, zones, submissions, decrypted = build_workload(
         n_submissions=n_submissions, samples=samples, key_bits=key_bits)
 
@@ -206,32 +201,28 @@ def run_benchmark(n_submissions: int = 50, samples: int = 20,
         PoaVerifier(FRAME),
         tee_key_lookup=lambda d: tee_keys[d].public_key,
         encryption_key=encryption_key,
-        zones_provider=lambda: zones, workers=1)
+        zones_provider=lambda: zones)
     warm_engine.audit_batch(submissions, record_event=False)
 
     def run_warm(*_):
         result = warm_engine.audit_batch(submissions, record_event=False)
         return result.reports, result.wall_time_s
 
-    worker_counts = sorted({1, 2, max_workers})
-    intake_runners = {"serial seed path": lambda: run_serial_seed_path(
-        encryption_key, tee_keys, zones, submissions)}
-    for workers in worker_counts:
-        intake_runners[f"engine, {workers} worker(s)"] = \
-            lambda w=workers: run_engine(
-                encryption_key, tee_keys, zones, submissions, workers=w)
-    intake_runners["engine, warm payload cache"] = run_warm
+    intake_runners = {
+        "serial seed path": lambda: run_serial_seed_path(
+            encryption_key, tee_keys, zones, submissions),
+        "engine, cold": lambda: run_engine(
+            encryption_key, tee_keys, zones, submissions),
+        "engine, warm payload cache": run_warm}
     intake_best = best_of_interleaved(intake_runners, repetitions)
     seed_s = intake_best["serial seed path"]
     rows = list(intake_best.items())
 
-    verify_runners = {"serial PoaVerifier.verify":
-                      lambda: run_serial_verify_only(
-                          tee_keys, zones, submissions, decrypted)}
-    for workers in worker_counts:
-        verify_runners[f"engine.audit_poas, {workers} worker(s)"] = \
-            lambda w=workers: run_engine_verify_only(
-                tee_keys, zones, submissions, decrypted, workers=w)
+    verify_runners = {
+        "serial PoaVerifier.verify": lambda: run_serial_verify_only(
+            tee_keys, zones, submissions, decrypted),
+        "engine.audit_poas": lambda: run_engine_verify_only(
+            tee_keys, zones, submissions, decrypted)}
     verify_best = best_of_interleaved(verify_runners, repetitions)
     serial_v_s = verify_best["serial PoaVerifier.verify"]
     verify_rows = list(verify_best.items())
@@ -255,13 +246,11 @@ def main() -> int:
     parser.add_argument("--submissions", type=int, default=50)
     parser.add_argument("--samples", type=int, default=20)
     parser.add_argument("--key-bits", type=int, default=512)
-    parser.add_argument("--max-workers", type=int, default=None)
     parser.add_argument("--repetitions", type=int, default=5)
     args = parser.parse_args()
     text, payload = run_benchmark(
         n_submissions=args.submissions, samples=args.samples,
-        key_bits=args.key_bits, max_workers=args.max_workers,
-        repetitions=args.repetitions)
+        key_bits=args.key_bits, repetitions=args.repetitions)
     print(text)
     path = write_bench_json("server_throughput", payload)
     print(f"\nmachine-readable result -> {path}")

@@ -5,15 +5,21 @@ and verifies submitted PoAs, retains verified PoAs as evidence "for a
 couple of days", and adjudicates Zone Owner incident reports against the
 retained evidence.
 
-PoA intake is delegated to the batch :class:`repro.server.engine.AuditEngine`:
-:meth:`AliDroneServer.receive_poa` is a thin single-submission wrapper over
-:meth:`AliDroneServer.receive_poa_batch`, so both paths share the staged
-verification pipeline, crypto fan-out, and caches.
+The server is a protocol façade over one
+:class:`repro.server.service.AuditorService` (an in-memory store, one
+shard, no admission guard): the drone table, the NFZ database, the
+registration policy and the audit engine are the service's.  What the
+server adds is what the online protocol adds — signed zone queries with
+a nonce window, evidence retention, incident adjudication, outage points
+and the event trail.  Every PoA it audits goes through ``service.submit``
+and ``service.drain``, so its verdicts are persisted and exactly-once
+like any other intake.
 """
 
 from __future__ import annotations
 
 import random
+import time
 from dataclasses import dataclass
 from typing import Any
 
@@ -28,12 +34,8 @@ from repro.core.protocol import (
     ZoneResponse,
 )
 from repro.core.sufficiency import Method, pair_is_sufficient
-from repro.core.verification import (
-    PoaVerifier,
-    VerificationReport,
-    VerificationStatus,
-)
-from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_rsa_keypair
+from repro.core.verification import VerificationReport, VerificationStatus
+from repro.crypto.rsa import RsaPublicKey, generate_rsa_keypair
 from repro.errors import (
     AuthenticationError,
     RegistrationError,
@@ -48,8 +50,9 @@ from repro.obs.adapters import (
 from repro.obs.hub import TelemetryHub
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import get_tracer
-from repro.server.database import DroneRegistry, NfzDatabase
-from repro.server.engine import AuditEngine, BatchAuditResult
+from repro.server.engine import AuditOutcome, BatchAuditResult
+from repro.server.service import AuditorService
+from repro.server.store import INTAKE_ERROR_STATUS
 from repro.sim.events import EventLog
 from repro.server.violations import (
     PenaltyPolicy,
@@ -100,8 +103,6 @@ class AliDroneServer:
                  retention_s: float = DEFAULT_RETENTION_S,
                  nonce_window_s: float = DEFAULT_NONCE_WINDOW_S,
                  penalty_policy: PenaltyPolicy | None = None,
-                 audit_workers: int = 1,
-                 audit_executor: str = "thread",
                  screen_signatures: bool = True,
                  telemetry: TelemetryHub | None = None,
                  injector=None):
@@ -116,13 +117,7 @@ class AliDroneServer:
         self.vmax_mps = float(vmax_mps)
         self.retention_s = float(retention_s)
         self.nonce_window_s = float(nonce_window_s)
-        self.drones = DroneRegistry()
-        self.zones = NfzDatabase(frame)
-        self.verifier = PoaVerifier(frame, vmax_mps=vmax_mps,
-                                    hash_name=hash_name, method=method)
         self.ledger = ViolationLedger(penalty_policy)
-        self._encryption_key: RsaPrivateKey = generate_rsa_keypair(
-            encryption_key_bits, rng=self.rng)
         self._retained: dict[str, list[RetainedSubmission]] = {}
         #: Replay protection: nonce -> time the query was served, so old
         #: nonces can be evicted by :meth:`purge_expired`.
@@ -131,26 +126,21 @@ class AliDroneServer:
         #: incidents.  Event times use protocol timestamps where the
         #: message carries one, else 0.0 (registration has no clock).
         self.events = EventLog()
-        #: The batch audit engine every PoA intake flows through.
-        self.engine = AuditEngine(
-            self.verifier,
-            tee_key_lookup=lambda drone_id:
-                self.drones.lookup(drone_id).tee_public_key,
-            encryption_key=self._encryption_key,
-            zones_provider=lambda: [r.zone for r in self.zones.all_zones()],
-            workers=audit_workers, executor=audit_executor,
-            screen_signatures=screen_signatures, events=self.events,
-            telemetry=telemetry)
+        #: The one auditor core: drone table, zones, registration policy
+        #: (``require_attestation`` / ``trust_manufacturer``), store and
+        #: engine.  The queue never sheds here: the façade drains it.
+        self.service = AuditorService(
+            frame, ":memory:",
+            encryption_key=generate_rsa_keypair(encryption_key_bits,
+                                                rng=self.rng),
+            vmax_mps=vmax_mps, hash_name=hash_name, method=method,
+            screen_signatures=screen_signatures, events=self.events)
+        self.zones = self.service.zones
+        self.verifier = self.service.verifier
+        #: The audit engine every PoA intake flows through.
+        self.engine = self.service.engines[0]
         if telemetry is not None:
             self.attach_telemetry(telemetry)
-        #: Manufacturer keys whose attestation quotes are accepted.
-        self.trusted_manufacturers: list[RsaPublicKey] = []
-        #: When True, drone registration requires a valid quote.
-        self.require_attestation = False
-
-    def trust_manufacturer(self, public_key: RsaPublicKey) -> None:
-        """Accept attestation quotes signed by this manufacturer."""
-        self.trusted_manufacturers.append(public_key)
 
     def _check_available(self, point: str, now: float | None = None) -> None:
         """Raise :class:`~repro.errors.ServiceUnavailableError` when an
@@ -162,41 +152,18 @@ class AliDroneServer:
     @property
     def public_encryption_key(self) -> RsaPublicKey:
         """The key drones encrypt PoA payloads under."""
-        return self._encryption_key.public_key
+        return self.service.public_encryption_key
 
     # --- registration (steps 0-1) -------------------------------------------
 
     def register_drone(self, request: DroneRegistrationRequest) -> str:
         """Step 0: issue an ``id_drone`` for ``(D+, T+)``.
 
-        With :attr:`require_attestation` set, the request must carry a
-        manufacturer quote signed by a trusted key and binding exactly the
-        submitted ``T+`` — otherwise any software key could masquerade as
-        a TEE key.
+        Registration is the service's: one policy (attestation when
+        ``service.require_attestation`` is set) for both front doors.
         """
         self._check_available("auditor.register")
-        if self.require_attestation:
-            self._check_attestation(request)
-        record = self.drones.register(request.operator_public_key,
-                                      request.tee_public_key,
-                                      request.operator_name)
-        self.events.record(0.0, "drone_registered",
-                           drone_id=record.drone_id,
-                           operator=request.operator_name,
-                           attested=request.quote is not None)
-        return record.drone_id
-
-    def _check_attestation(self, request: DroneRegistrationRequest) -> None:
-        quote = request.quote
-        if quote is None:
-            raise RegistrationError(
-                "registration requires a manufacturer attestation quote")
-        if quote.tee_public_key != request.tee_public_key:
-            raise RegistrationError(
-                "attestation quote binds a different TEE key")
-        if not any(quote.verify(key) for key in self.trusted_manufacturers):
-            raise RegistrationError(
-                "attestation quote not signed by a trusted manufacturer")
+        return self.service.register_drone(request)
 
     def register_zone(self, request: ZoneRegistrationRequest) -> str:
         """Step 1: register a circular NFZ; returns its ``id_zone``."""
@@ -222,7 +189,7 @@ class AliDroneServer:
             AuthenticationError: bad signature or replayed nonce.
         """
         self._check_available("auditor.zone_query", now)
-        record = self.drones.lookup(query.drone_id)
+        record = self.service.store.get_drone(query.drone_id)
         if query.nonce in self._seen_nonces:
             raise AuthenticationError("zone query nonce replayed")
         if not query.verify(record.operator_public_key):
@@ -239,19 +206,13 @@ class AliDroneServer:
                     now: float | None = None) -> VerificationReport:
         """Decrypt, verify, and retain one PoA submission.
 
-        A thin wrapper over the batch path: the submission goes through
-        the same :class:`AuditEngine` as :meth:`receive_poa_batch`, and
-        intake errors (unknown drone) are re-raised exactly as before.
+        The same service intake as :meth:`receive_poa_batch`; an intake
+        error (unknown drone) is raised instead of returned.
         """
         self._check_available("auditor.receive_poa", now)
-        result = self.engine.audit_batch([submission], now=now,
-                                         record_event=False)
-        outcome = result.outcomes[0]
+        (outcome,) = self._audit([submission], now)
         if outcome.error is not None:
             raise outcome.error
-        if outcome.poa is not None:
-            self._retain_and_log(outcome.submission, outcome.poa,
-                                 outcome.report, now)
         return outcome.report
 
     def receive_poa_batch(self, submissions: list[PoaSubmission],
@@ -264,16 +225,63 @@ class AliDroneServer:
         recorded in the audit trail as one ``batch_audited`` event.
         """
         self._check_available("auditor.receive_poa", now)
+        start = time.perf_counter()
         with get_tracer().span("server.receive_poa_batch",
                                batch_size=len(submissions)):
-            result = self.engine.audit_batch(submissions, now=now)
-            for outcome in result.outcomes:
-                # Undecryptable submissions carry no verifiable evidence and
-                # are reported but not retained (matching the single path).
-                if outcome.report is not None and outcome.poa is not None:
-                    self._retain_and_log(outcome.submission, outcome.poa,
-                                         outcome.report, now)
+            outcomes = self._audit(submissions, now)
+        result = BatchAuditResult(outcomes=outcomes,
+                                  wall_time_s=time.perf_counter() - start)
+        self.events.record(now if now is not None else 0.0, "batch_audited",
+                           batch_size=result.batch_size,
+                           wall_time_s=result.wall_time_s)
         return result
+
+    def _audit(self, submissions: list[PoaSubmission],
+               now: float | None) -> list[AuditOutcome]:
+        """Submit every submission to the service, drain, and retain.
+
+        Each submission is stored at ``now`` (its ``claimed_end`` when
+        ``now`` is None).  The queue is drained whenever it fills, so a
+        batch larger than the queue bound is audited, never shed.  A
+        byte-identical resubmission (in this batch or an earlier one)
+        gets the stored verdict and is not retained again; undecryptable
+        submissions carry no verifiable evidence and are reported but not
+        retained.
+        """
+        service = self.service
+        fresh: dict[int, AuditOutcome] = {}
+        seqs = []
+        at = now
+        for submission in submissions:
+            at = now if now is not None else submission.claimed_end
+            if service.queue_depth >= service.queue_capacity:
+                fresh.update(self._drain(at))
+            seqs.append(service.submit(submission, now=at).seq)
+        fresh.update(self._drain(at))
+        outcomes = []
+        for seq, submission in zip(seqs, submissions):
+            outcome = fresh.pop(seq, None)
+            if outcome is None:
+                outcome = self._stored_outcome(seq, submission)
+            elif outcome.poa is not None:
+                self._retain_and_log(submission, outcome.poa,
+                                     outcome.report, now)
+            outcomes.append(outcome)
+        return outcomes
+
+    def _drain(self, now: float) -> dict[int, AuditOutcome]:
+        return {record.seq: record.outcome
+                for record in self.service.drain(now)}
+
+    def _stored_outcome(self, seq: int,
+                        submission: PoaSubmission) -> AuditOutcome:
+        """The outcome of a resubmission, rebuilt from its verdict row."""
+        verdict = self.service.store.get_verdict(seq)
+        if verdict.status == INTAKE_ERROR_STATUS:
+            return AuditOutcome(submission=submission,
+                                error=RegistrationError(verdict.message))
+        return AuditOutcome(submission=submission,
+                            report=verdict.to_report())
 
     def bind_metrics(self, registry: MetricsRegistry | None = None,
                      ) -> MetricsRegistry:
@@ -298,7 +306,7 @@ class AliDroneServer:
                        fn=lambda: sum(len(items) for items
                                       in self._retained.values()))
         registry.gauge("server.registered_drones",
-                       fn=lambda: len(self.drones))
+                       fn=self.service.store.drone_count)
         return registry
 
     def attach_telemetry(self, hub: TelemetryHub) -> TelemetryHub:
@@ -317,7 +325,8 @@ class AliDroneServer:
         hub.gauge("server.retained_submissions",
                   lambda: sum(len(items) for items
                               in self._retained.values()))
-        hub.gauge("server.registered_drones", lambda: len(self.drones))
+        hub.gauge("server.registered_drones",
+                  self.service.store.drone_count)
 
         def hit_ratio() -> float:
             lookups = (self.engine.zone_index_hits
@@ -389,8 +398,7 @@ class AliDroneServer:
         entering the accusing zone all yield a violation finding.
         """
         zone_record = self.zones.lookup(report.zone_id)
-        if report.drone_id not in self.drones:
-            raise RegistrationError(f"unknown drone id {report.drone_id!r}")
+        self.service.store.get_drone(report.drone_id)
 
         covering = [s for s in self._retained.get(report.drone_id, [])
                     if s.submission.claimed_start - 1.0 <= report.incident_time

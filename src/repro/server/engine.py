@@ -4,13 +4,10 @@ The paper's Auditor (§IV-C2) verifies one PoA at a time; a production
 service fields submissions from millions of drones.  :class:`AuditEngine`
 is the throughput-scaled path every intake flows through:
 
-* **Fan-out** — the CPU-bound crypto work (record decryption + signature
-  checking) for each submission is dispatched across a
-  :mod:`concurrent.futures` pool; decryption costs one RSA unwrap per
-  envelope flight, or one RSAES decrypt per paper-mode record
-  (:func:`repro.crypto.envelope.open_records`).  ``workers <= 1`` runs
-  everything inline in submission order, which is the deterministic mode
-  the tests use.
+* **Crypto** — each submission's records are decrypted and its flight
+  authenticated inline, in submission order; decryption costs one RSA
+  unwrap per envelope flight, or one RSAES decrypt per paper-mode record
+  (:func:`repro.crypto.envelope.open_records`).
 * **Screening** — same-key signature batches are first checked with
   Bellare–Garay–Rabin screening (one public-key exponentiation per PoA
   instead of one per sample, :func:`repro.crypto.pkcs1.screen_pkcs1_v15`);
@@ -18,14 +15,13 @@ is the throughput-scaled path every intake flows through:
   reports still carry exact indices.
 * **Caching** — decrypted payloads are memoized by ciphertext, bound to
   the wrapped flight key for envelope records (resubmitted or replayed
-  records cost nothing the second time), per-drone ``T+`` lookups are
-  cached, local-frame projections are memoized across samples and
-  submissions, and the zone set is projected + spatially indexed once
-  and shared across every batch against the same zone set
-  (:meth:`AuditEngine.zone_index_for`).
+  records cost nothing the second time), local-frame projections are
+  memoized across samples and submissions, and the zone set is
+  projected + spatially indexed once and shared across every batch
+  against the same zone set (:meth:`AuditEngine.zone_index_for`).
 * **Accounting** — per-stage wall time flows into a shared
   :class:`repro.perf.meter.StageMetrics`, and each batch records a
-  ``batch_audited`` event (batch size, worker count, wall time) into the
+  ``batch_audited`` event (batch size, wall time) into the
   attached :class:`repro.sim.events.EventLog`.
 
 The verification semantics are exactly the staged pipeline's
@@ -36,8 +32,7 @@ what ``PoaVerifier.verify`` returns for the same inputs.
 from __future__ import annotations
 
 import time
-from concurrent.futures import Executor, ProcessPoolExecutor, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Iterable, Sequence
 
 from repro.core.nfz import NoFlyZone
@@ -54,7 +49,7 @@ from repro.crypto.envelope import flight_binding, open_records
 from repro.crypto.pkcs1 import decrypt_pkcs1_v15
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey
 from repro.crypto.schemes import SCHEME_RSA, get_scheme
-from repro.errors import AliDroneError, ConfigurationError, EncryptionError
+from repro.errors import AliDroneError, EncryptionError
 from repro.geo.proximity import ZoneIndexStats, ZoneProximityIndex
 from repro.obs.hub import TelemetryHub
 from repro.obs.trace import get_tracer
@@ -79,14 +74,12 @@ class _BoundedCache(dict):
     insertion-order eviction flushed exactly those hot entries once enough
     cold traffic had passed through.  Writes (``[]`` or the historical
     :meth:`insert`) evict the least-recently-used entry once
-    ``max_entries`` is reached; ``on_evict`` lets the owner keep a reverse
-    index in lockstep with evictions.
+    ``max_entries`` is reached.
     """
 
-    def __init__(self, max_entries: int, on_evict=None):
+    def __init__(self, max_entries: int):
         super().__init__()
         self.max_entries = int(max_entries)
-        self.on_evict = on_evict
 
     def get(self, key, default=None):
         try:
@@ -101,10 +94,7 @@ class _BoundedCache(dict):
             super().pop(key)
         else:
             while self and len(self) >= self.max_entries:
-                oldest = next(iter(self))
-                evicted = super().pop(oldest)
-                if self.on_evict is not None:
-                    self.on_evict(oldest, evicted)
+                super().pop(next(iter(self)))
         super().__setitem__(key, value)
 
     def insert(self, key, value) -> None:
@@ -121,7 +111,7 @@ def _cache_key(binding: bytes, ciphertext: bytes) -> _CacheKey:
     return (binding, ciphertext) if binding else ciphertext
 
 
-# --- pool task functions (top-level so ProcessPoolExecutor can pickle) -----
+# --- per-submission crypto -------------------------------------------------
 
 def _signature_verdict(tee_public_key: RsaPublicKey,
                        pairs: Sequence[tuple[bytes, bytes]],
@@ -213,7 +203,6 @@ class BatchAuditResult:
 
     outcomes: list[AuditOutcome]
     wall_time_s: float
-    workers: int
     batch_size: int = 0
 
     def __post_init__(self) -> None:
@@ -241,16 +230,11 @@ class AuditEngine:
             parameters (its per-stage pipeline is reused unchanged).
         tee_key_lookup: maps ``drone_id`` to the registered ``T+``; must
             raise :class:`repro.errors.RegistrationError` for unknown ids.
-            Results are cached per drone.
+            Called once per submission, so it should be a cheap table
+            lookup (the service's live ``T+`` table).
         encryption_key: the Auditor's RSAES private key (None when the
             engine only audits pre-decrypted PoAs).
         zones_provider: yields the current zone set; called once per batch.
-        workers: size of the crypto fan-out pool.  ``1`` (default) runs
-            inline — fully deterministic, no pool at all.
-        executor: ``"thread"`` (default; cheap, good enough because the
-            hot loop is dominated by a handful of long native big-int
-            operations) or ``"process"`` (true multi-core scaling for
-            large batches on multi-core hosts).
         screen_signatures: use batch screening as the signature fast path.
             Screening accepts only payload sets that were genuinely signed
             by ``T+`` (see :func:`repro.crypto.pkcs1.screen_pkcs1_v15` for
@@ -270,67 +254,30 @@ class AuditEngine:
                  encryption_key: RsaPrivateKey | None = None,
                  zones_provider: Callable[[], Sequence[NoFlyZone]] | None = None,
                  *,
-                 workers: int = 1,
-                 executor: str = "thread",
                  screen_signatures: bool = True,
                  events: EventLog | None = None,
                  metrics: StageMetrics | None = None,
                  telemetry: TelemetryHub | None = None,
                  payload_cache_max: int = DEFAULT_PAYLOAD_CACHE_MAX,
                  position_memo_max: int = DEFAULT_POSITION_MEMO_MAX):
-        if workers < 1:
-            raise ConfigurationError(f"workers must be >= 1, got {workers}")
-        if executor not in ("thread", "process"):
-            raise ConfigurationError(
-                f"executor must be 'thread' or 'process', got {executor!r}")
         self.verifier = verifier
         self.tee_key_lookup = tee_key_lookup
         self.encryption_key = encryption_key
         self.zones_provider = zones_provider or (lambda: ())
-        self.workers = int(workers)
-        self.executor_kind = executor
         self.screen_signatures = bool(screen_signatures)
         self.events = events
         self.metrics = metrics if metrics is not None else StageMetrics()
         self.telemetry = telemetry
-        self._tee_key_cache: dict[str, RsaPublicKey] = {}
-        self._payload_cache = _BoundedCache(payload_cache_max,
-                                            on_evict=self._payload_evicted)
+        self._payload_cache = _BoundedCache(payload_cache_max)
         self._position_memo = _BoundedCache(position_memo_max)
         self._zone_index_cache = _BoundedCache(DEFAULT_ZONE_INDEX_CACHE_MAX)
         self._zone_index_stats = ZoneIndexStats()
-        #: Reverse indices so :meth:`invalidate_drone` can purge exactly
-        #: one drone's decrypted payloads; kept in lockstep with the
-        #: payload cache via its eviction hook.
-        self._payload_owner: dict[_CacheKey, str] = {}
-        self._drone_payload_keys: dict[str, set[_CacheKey]] = {}
         self.zone_index_builds = 0
         self.zone_index_hits = 0
         self.payload_cache_hits = 0
         self.payload_cache_misses = 0
 
     # --- caches -------------------------------------------------------------
-
-    def tee_key_for(self, drone_id: str) -> RsaPublicKey:
-        """The registered ``T+`` for a drone, cached per drone id."""
-        key = self._tee_key_cache.get(drone_id)
-        if key is None:
-            key = self.tee_key_lookup(drone_id)
-            self._tee_key_cache[drone_id] = key
-        return key
-
-    def invalidate_drone(self, drone_id: str) -> None:
-        """Forget a drone: its cached ``T+`` and its decrypted payloads.
-
-        A drone that re-registers (new keys through the durable store)
-        must not keep serving payloads decrypted and cache-warmed under
-        its previous identity — a stale hit would skip decryption against
-        the ciphertexts of a record set that no longer authenticates.
-        """
-        self._tee_key_cache.pop(drone_id, None)
-        for key in self._drone_payload_keys.pop(drone_id, ()):
-            self._payload_owner.pop(key, None)
-            dict.pop(self._payload_cache, key, None)
 
     def _flight_binding(self, submission: PoaSubmission) -> bytes | None:
         """What a submission's records are cached under besides their bytes.
@@ -343,16 +290,6 @@ class AuditEngine:
             return b""
         return flight_binding([r.ciphertext for r in submission.records],
                               self.encryption_key.byte_length)
-
-    def _payload_evicted(self, key, _payload) -> None:
-        """Cache-eviction hook: drop the evicted key's reverse index."""
-        drone_id = self._payload_owner.pop(key, None)
-        if drone_id is not None:
-            keys = self._drone_payload_keys.get(drone_id)
-            if keys is not None:
-                keys.discard(key)
-                if not keys:
-                    del self._drone_payload_keys[drone_id]
 
     @property
     def payload_cache_size(self) -> int:
@@ -388,20 +325,6 @@ class AuditEngine:
             self.zone_index_hits += 1
         return index
 
-    # --- fan-out helpers ----------------------------------------------------
-
-    def _make_executor(self) -> Executor:
-        if self.executor_kind == "process":
-            return ProcessPoolExecutor(max_workers=self.workers)
-        return ThreadPoolExecutor(max_workers=self.workers)
-
-    def _map_tasks(self, fn: Callable, argument_lists: Sequence[tuple]):
-        """Run ``fn(*args)`` per entry, inline or across the pool, in order."""
-        if self.workers <= 1 or len(argument_lists) <= 1:
-            return [fn(*args) for args in argument_lists]
-        with self._make_executor() as pool:
-            return list(pool.map(fn, *zip(*argument_lists)))
-
     # --- telemetry ----------------------------------------------------------
 
     def _record_telemetry(self, seconds: float, report: VerificationReport,
@@ -429,9 +352,7 @@ class AuditEngine:
                                         for s in submissions]
         tracer = get_tracer()
         batch_span = tracer.start_span(
-            "audit_batch", attributes={"batch_size": len(submissions),
-                                       "workers": self.workers,
-                                       "executor": self.executor_kind})
+            "audit_batch", attributes={"batch_size": len(submissions)})
         try:
             return self._audit_batch_traced(submissions, outcomes, start,
                                             now, record_event, tracer,
@@ -442,14 +363,14 @@ class AuditEngine:
     def _audit_batch_traced(self, submissions, outcomes, start, now,
                             record_event, tracer, batch_span
                             ) -> BatchAuditResult:
-        # Phase 0 (inline): resolve T+ per drone; registry errors become
+        # Phase 0: resolve T+ per drone; registry errors become
         # per-outcome errors before any crypto is spent on the submission.
         task_args = []
         task_slots = []
         bindings = []
         for slot, submission in enumerate(submissions):
             try:
-                tee_key = self.tee_key_for(submission.drone_id)
+                tee_key = self.tee_key_lookup(submission.drone_id)
             except AliDroneError as exc:
                 outcomes[slot].error = exc
                 continue
@@ -470,10 +391,10 @@ class AuditEngine:
             task_slots.append(slot)
             bindings.append(binding)
 
-        # Phase 1 (pool): the CPU-bound decrypt + signature work.
-        results = self._map_tasks(_submission_crypto_task, task_args)
+        # Phase 1: the CPU-bound decrypt + signature work.
+        results = [_submission_crypto_task(*args) for args in task_args]
 
-        # Phase 2 (inline): feed results through the shared staged pipeline.
+        # Phase 2: feed results through the shared staged pipeline.
         zones = list(self.zones_provider())
         zone_index = self.zone_index_for(zones)
         zone_circles = zone_index.circles
@@ -485,13 +406,11 @@ class AuditEngine:
             with tracer.span("audit.submission",
                              drone_id=submission.drone_id,
                              flight_id=submission.flight_id) as sub_span:
-                # The crypto ran off-thread in phase 1; re-attach its wall
-                # time as a child span (the span-level analogue of
-                # StageMetrics.merge over per-worker accumulators).
+                # The crypto ran in phase 1; re-attach its wall time as a
+                # child span of this submission.
                 tracer.record_span(
                     "crypto", seconds, parent=sub_span,
-                    attributes={"records": len(submission.records),
-                                "pooled": self.workers > 1})
+                    attributes={"records": len(submission.records)})
                 if decrypt_error is not None:
                     sub_span.set_attribute("status", "malformed")
                     report = VerificationReport(
@@ -506,12 +425,8 @@ class AuditEngine:
                     continue
                 for (_cached, ciphertext, _sig), payload in zip(args[1],
                                                                 payloads):
-                    key = _cache_key(binding, ciphertext)
-                    self._payload_cache.insert(key, payload)
-                    if key not in self._payload_owner:
-                        self._payload_owner[key] = submission.drone_id
-                        self._drone_payload_keys.setdefault(
-                            submission.drone_id, set()).add(key)
+                    self._payload_cache.insert(_cache_key(binding, ciphertext),
+                                               payload)
                 poa = ProofOfAlibi(
                     (SignedSample(payload=payload, signature=record.signature,
                                   scheme=submission.scheme)
@@ -537,13 +452,11 @@ class AuditEngine:
 
         wall = time.perf_counter() - start
         batch_span.set_attribute("wall_time_s", wall)
-        result = BatchAuditResult(outcomes=outcomes, wall_time_s=wall,
-                                  workers=self.workers)
+        result = BatchAuditResult(outcomes=outcomes, wall_time_s=wall)
         if record_event and self.events is not None:
             self.events.record(now if now is not None else 0.0,
                                "batch_audited",
                                batch_size=result.batch_size,
-                               workers=self.workers,
                                wall_time_s=wall)
         return result
 
@@ -555,7 +468,7 @@ class AuditEngine:
         """Verify already-decrypted PoAs as one batch.
 
         This is the pure verification hot path (no RSAES layer): the
-        signature stage fans out / screens exactly as in
+        signature stage screens exactly as in
         :meth:`audit_batch`, and geometry caches are shared across items.
         Reports are identical to ``PoaVerifier.verify`` per item.
         ``now`` stamps the attached telemetry hub's windows (unused when
@@ -568,9 +481,8 @@ class AuditEngine:
              poa.scheme, poa.finalizer)
             for poa, tee_key in items]
         tracer = get_tracer()
-        with tracer.span("audit_poas", batch_size=len(items),
-                         workers=self.workers):
-            results = self._map_tasks(_poa_crypto_task, task_args)
+        with tracer.span("audit_poas", batch_size=len(items)):
+            results = [_poa_crypto_task(*args) for args in task_args]
             zones = list(zones)
             zone_index = self.zone_index_for(zones)
             zone_circles = zone_index.circles
@@ -581,8 +493,7 @@ class AuditEngine:
                                  samples=len(poa)) as sub_span:
                     tracer.record_span(
                         "crypto", seconds, parent=sub_span,
-                        attributes={"records": len(poa),
-                                    "pooled": self.workers > 1})
+                        attributes={"records": len(poa)})
                     ctx = self.verifier.context(
                         poa, tee_key, zones,
                         position_memo=self._position_memo,

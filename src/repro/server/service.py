@@ -1,7 +1,10 @@
 """The persistent auditor service: sharded, durable, back-pressured intake.
 
-:class:`AuditorService` is the fleet-scale successor of driving
-:class:`repro.server.engine.AuditEngine` by hand.  It layers, bottom up:
+:class:`AuditorService` is the one auditor core: it owns the drone
+table, the NFZ database, the registration policy and the
+:class:`repro.server.engine.AuditEngine` wiring, and
+:class:`repro.server.auditor.AliDroneServer` is a protocol façade over
+one in-memory instance.  It layers, bottom up:
 
 * **Durability** — every accepted submission lands in a
   :class:`repro.server.store.FlightStore` (SQLite/WAL) *before* it is
@@ -49,7 +52,7 @@ from repro.core.protocol import DroneRegistrationRequest, PoaSubmission
 from repro.core.sufficiency import Method
 from repro.core.verification import PoaVerifier
 from repro.crypto.rsa import RsaPrivateKey, RsaPublicKey, generate_rsa_keypair
-from repro.errors import ConfigurationError
+from repro.errors import ConfigurationError, RegistrationError
 from repro.geo.geodesy import LocalFrame
 from repro.obs.hub import TelemetryHub
 from repro.perf.meter import StageMetrics
@@ -185,8 +188,7 @@ class AuditorService:
         shard_payload_cache_max: per-shard decrypted-payload cache bound.
         encryption_key: the RSAES private key drones encrypt under; one
             is generated (``encryption_key_bits``) when omitted.
-        workers / executor / screen_signatures: forwarded to each
-            shard's engine.
+        screen_signatures: forwarded to each shard's engine.
         telemetry: optional hub; see :meth:`attach_telemetry`.
     """
 
@@ -204,8 +206,6 @@ class AuditorService:
                  vmax_mps: float = FAA_MAX_SPEED_MPS,
                  hash_name: str = "sha1",
                  method: Method = "conservative",
-                 workers: int = 1,
-                 executor: str = "thread",
                  screen_signatures: bool = True,
                  telemetry: TelemetryHub | None = None,
                  events: EventLog | None = None):
@@ -243,6 +243,10 @@ class AuditorService:
         self._tee_keys: dict[str, RsaPublicKey] = {
             drone.drone_id: drone.tee_public_key
             for drone in self.store.load_drones()}
+        #: Manufacturer keys whose attestation quotes are accepted.
+        self.trusted_manufacturers: list[RsaPublicKey] = []
+        #: When True, drone registration requires a valid quote.
+        self.require_attestation = False
         zones_provider = lambda: [r.zone for r in self.zones.all_zones()]  # noqa: E731
         self.engines = [
             AuditEngine(
@@ -250,7 +254,6 @@ class AuditorService:
                 tee_key_lookup=self._lookup_tee_key,
                 encryption_key=self._encryption_key,
                 zones_provider=zones_provider,
-                workers=workers, executor=executor,
                 screen_signatures=screen_signatures,
                 events=None, metrics=self.metrics,
                 telemetry=telemetry,
@@ -275,16 +278,41 @@ class AuditorService:
         """The key drones encrypt PoA payloads under."""
         return self._encryption_key.public_key
 
+    def trust_manufacturer(self, public_key: RsaPublicKey) -> None:
+        """Accept attestation quotes signed by this manufacturer."""
+        self.trusted_manufacturers.append(public_key)
+
     def register_drone(self, request: DroneRegistrationRequest,
                        now: float = 0.0) -> str:
-        """Durably register ``(D+, T+)``; returns the issued ``id_drone``."""
+        """Durably register ``(D+, T+)``; returns the issued ``id_drone``.
+
+        With :attr:`require_attestation` set, the request must carry a
+        manufacturer quote signed by a trusted key and binding exactly the
+        submitted ``T+`` — otherwise any software key could masquerade as
+        a TEE key.
+        """
+        if self.require_attestation:
+            self._check_attestation(request)
         drone_id = self.store.register_drone(
             request.operator_public_key, request.tee_public_key,
             operator_name=request.operator_name, registered_at=now)
         self._tee_keys[drone_id] = request.tee_public_key
         self.events.record(now, "drone_registered", drone_id=drone_id,
-                           operator=request.operator_name)
+                           operator=request.operator_name,
+                           attested=request.quote is not None)
         return drone_id
+
+    def _check_attestation(self, request: DroneRegistrationRequest) -> None:
+        quote = request.quote
+        if quote is None:
+            raise RegistrationError(
+                "registration requires a manufacturer attestation quote")
+        if quote.tee_public_key != request.tee_public_key:
+            raise RegistrationError(
+                "attestation quote binds a different TEE key")
+        if not any(quote.verify(key) for key in self.trusted_manufacturers):
+            raise RegistrationError(
+                "attestation quote not signed by a trusted manufacturer")
 
     def register_zone(self, zone: NoFlyZone, owner_name: str = "",
                       proof_of_ownership: str = "service") -> str:

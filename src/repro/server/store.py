@@ -262,10 +262,10 @@ class FlightStore:
                        registered_at: float = 0.0) -> str:
         """Issue an ``id_drone`` and persist the registration row.
 
-        Mirrors :class:`repro.server.database.DroneRegistry` semantics:
-        a TEE key already registered (by fingerprint) is rejected, and
-        identifiers are issued sequentially so a restarted service keeps
-        counting where it left off.
+        A TEE key already registered (by fingerprint) is rejected — one
+        physical device, one license plate — and identifiers are issued
+        sequentially so a restarted service keeps counting where it left
+        off.
         """
         fingerprint = key_fingerprint(tee_public_key)
         row = self._conn.execute(

@@ -13,8 +13,9 @@ import json
 import pathlib
 
 from repro.core.nfz import NoFlyZone
-from repro.core.poa import EncryptedPoaRecord
+from repro.core.poa import EncryptedPoaRecord, decrypt_poa
 from repro.core.protocol import PoaSubmission
+from repro.crypto.schemes import SCHEME_RSA
 from repro.crypto.keys import (
     private_key_from_bytes,
     private_key_to_bytes,
@@ -39,15 +40,13 @@ def _key_hex(key) -> str:
 def save_server_state(server: AliDroneServer,
                       path: pathlib.Path | str) -> None:
     """Snapshot the server to a JSON file."""
-    drones = []
-    for drone_id in sorted(server.drones._drones):
-        record = server.drones.lookup(drone_id)
-        drones.append({
-            "drone_id": record.drone_id,
-            "operator_public_key": _key_hex(record.operator_public_key),
-            "tee_public_key": _key_hex(record.tee_public_key),
-            "operator_name": record.operator_name,
-        })
+    store = server.service.store
+    drones = [{
+        "drone_id": record.drone_id,
+        "operator_public_key": _key_hex(record.operator_public_key),
+        "tee_public_key": _key_hex(record.tee_public_key),
+        "operator_name": record.operator_name,
+    } for record in store.load_drones()]
     zones = []
     for record in server.zones.all_zones():
         zones.append({
@@ -67,6 +66,8 @@ def save_server_state(server: AliDroneServer,
                 "claimed_end": item.submission.claimed_end,
                 "received_at": item.received_at,
                 "status": item.report.status.value,
+                "scheme": item.submission.scheme,
+                "finalizer": item.submission.finalizer.hex(),
                 "records": [{"ciphertext": r.ciphertext.hex(),
                              "signature": r.signature.hex()}
                             for r in item.submission.records],
@@ -84,8 +85,8 @@ def save_server_state(server: AliDroneServer,
         "version": _FORMAT_VERSION,
         "frame_origin": {"lat": server.frame.origin.lat,
                          "lon": server.frame.origin.lon},
-        "encryption_key": private_key_to_bytes(server._encryption_key).hex(),
-        "drone_counter": server.drones._counter,
+        "encryption_key": private_key_to_bytes(
+            server.service._encryption_key).hex(),
         "zone_counter": server.zones._counter,
         "drones": drones,
         "zones": zones,
@@ -101,7 +102,10 @@ def load_server_state(path: pathlib.Path | str,
 
     The caller supplies a server built with the same frame origin; the
     snapshot's registries, keys, evidence, and ledger replace the fresh
-    server's state.  Raises :class:`EncodingError` on malformed input.
+    server's state.  Retained entries without ``scheme``/``finalizer``
+    (snapshots from before flight-level schemes) read as ``rsa-v15``
+    with an empty finalizer.  Raises :class:`EncodingError` on malformed
+    input.
     """
     try:
         document = json.loads(pathlib.Path(path).read_text())
@@ -115,15 +119,18 @@ def load_server_state(path: pathlib.Path | str,
         raise EncodingError("snapshot frame origin does not match the server")
 
     try:
-        server._encryption_key = private_key_from_bytes(
+        encryption_key = private_key_from_bytes(
             bytes.fromhex(document["encryption_key"]))
+        server.service._encryption_key = encryption_key
+        server.engine.encryption_key = encryption_key
+        store = server.service.store
         for entry in document["drones"]:
-            record = server.drones.register(
+            drone_id = store.register_drone(
                 public_key_from_bytes(
                     bytes.fromhex(entry["operator_public_key"])),
                 public_key_from_bytes(bytes.fromhex(entry["tee_public_key"])),
                 entry["operator_name"])
-            if record.drone_id != entry["drone_id"]:
+            if drone_id != entry["drone_id"]:
                 raise EncodingError("drone id sequence mismatch in snapshot")
         for entry in document["zones"]:
             record = server.zones.register(
@@ -132,7 +139,6 @@ def load_server_state(path: pathlib.Path | str,
                 proof_of_ownership="<restored>")
             if record.zone_id != entry["zone_id"]:
                 raise EncodingError("zone id sequence mismatch in snapshot")
-        server.drones._counter = document["drone_counter"]
         server.zones._counter = document["zone_counter"]
 
         for entry in document["retained"]:
@@ -140,15 +146,18 @@ def load_server_state(path: pathlib.Path | str,
                 EncryptedPoaRecord(ciphertext=bytes.fromhex(r["ciphertext"]),
                                    signature=bytes.fromhex(r["signature"]))
                 for r in entry["records"])
+            scheme = entry.get("scheme", SCHEME_RSA)
+            finalizer = bytes.fromhex(entry.get("finalizer", ""))
             submission = PoaSubmission(
                 drone_id=entry["drone_id"], flight_id=entry["flight_id"],
                 records=records, claimed_start=entry["claimed_start"],
-                claimed_end=entry["claimed_end"])
+                claimed_end=entry["claimed_end"], scheme=scheme,
+                finalizer=finalizer)
             # Re-verify on restore rather than trusting the stored verdict;
             # the stored status is kept for audit-trail comparison.
-            from repro.core.poa import decrypt_poa
-            poa = decrypt_poa(records, server._encryption_key)
-            drone = server.drones.lookup(entry["drone_id"])
+            poa = decrypt_poa(records, encryption_key, scheme=scheme,
+                              finalizer=finalizer)
+            drone = store.get_drone(entry["drone_id"])
             report = server.verifier.verify(
                 poa, drone.tee_public_key,
                 [record.zone for record in server.zones.all_zones()])

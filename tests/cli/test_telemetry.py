@@ -136,7 +136,7 @@ class TestChecker:
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps({
             "batch_size": 2, "samples_per_submission": 1, "drones": 1,
-            "workers": 1, "executor": "thread", "wall_time_s": 0.1,
+            "wall_time_s": 0.1,
             "submissions_per_second": 20.0,
             "status_counts": {"accepted": 1},
             "outcomes": [], "stage_timing": {"signature": {

@@ -127,7 +127,7 @@ class TestLiveIncrementalVerification:
         records = encrypt_poa(record.poa, server.public_encryption_key,
                               rng=random.Random(67))
         endpoint = stream_records(records, record.flight_id)
-        opener = StreamOpener(server._encryption_key)
+        opener = StreamOpener(server.service._encryption_key)
         verdicts = []
         for streamed in endpoint.records():
             (payload,) = opener.push(streamed.ciphertext)

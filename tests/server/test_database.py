@@ -1,46 +1,60 @@
-"""Tests for repro.server.database."""
+"""Tests for the Auditor's registries: the drone table behind
+``AuditorService.register_drone`` (the one registration path both front
+doors use) and repro.server.database's NFZ database."""
 
 import pytest
 
 from repro.core.nfz import NoFlyZone
+from repro.core.protocol import DroneRegistrationRequest
 from repro.errors import RegistrationError
-from repro.server.database import DroneRegistry, NfzDatabase
+from repro.server.database import NfzDatabase
+from repro.server.service import AuditorService
 
 
 class TestDroneRegistry:
-    def test_register_and_lookup(self, signing_key, other_key):
-        registry = DroneRegistry()
-        record = registry.register(signing_key.public_key,
-                                   other_key.public_key, "op")
-        assert record.drone_id == "drone-000001"
-        assert registry.lookup(record.drone_id) == record
-        assert record.drone_id in registry
-        assert len(registry) == 1
+    @pytest.fixture()
+    def service(self, frame, vendor_key):
+        with AuditorService(frame, encryption_key=vendor_key) as service:
+            yield service
 
-    def test_sequential_ids(self, signing_key, other_key, vendor_key):
-        registry = DroneRegistry()
-        a = registry.register(signing_key.public_key, other_key.public_key)
-        b = registry.register(signing_key.public_key, vendor_key.public_key)
-        assert a.drone_id != b.drone_id
+    @staticmethod
+    def register(service, operator_key, tee_key, name=""):
+        return service.register_drone(DroneRegistrationRequest(
+            operator_public_key=operator_key.public_key,
+            tee_public_key=tee_key.public_key, operator_name=name))
 
-    def test_duplicate_tee_key_rejected(self, signing_key, other_key):
+    def test_register_and_lookup(self, service, signing_key, other_key):
+        drone_id = self.register(service, signing_key, other_key, "op")
+        assert drone_id == "drone-000001"
+        record = service.store.get_drone(drone_id)
+        assert record.operator_public_key == signing_key.public_key
+        assert record.tee_public_key == other_key.public_key
+        assert record.operator_name == "op"
+        assert service.store.drone_count() == 1
+
+    def test_sequential_ids(self, service, signing_key, other_key,
+                            vendor_key):
+        a = self.register(service, signing_key, other_key)
+        b = self.register(service, signing_key, vendor_key)
+        assert a != b
+
+    def test_duplicate_tee_key_rejected(self, service, signing_key,
+                                        other_key):
         """One physical TEE = one license plate."""
-        registry = DroneRegistry()
-        registry.register(signing_key.public_key, other_key.public_key)
+        self.register(service, signing_key, other_key)
         with pytest.raises(RegistrationError):
-            registry.register(signing_key.public_key, other_key.public_key)
+            self.register(service, signing_key, other_key)
 
-    def test_same_operator_key_many_drones_allowed(self, signing_key,
+    def test_same_operator_key_many_drones_allowed(self, service, signing_key,
                                                    other_key, vendor_key):
         """One operator can own a fleet (distinct TEEs)."""
-        registry = DroneRegistry()
-        registry.register(signing_key.public_key, other_key.public_key)
-        registry.register(signing_key.public_key, vendor_key.public_key)
-        assert len(registry) == 2
+        self.register(service, signing_key, other_key)
+        self.register(service, signing_key, vendor_key)
+        assert service.store.drone_count() == 2
 
-    def test_unknown_lookup_rejected(self):
+    def test_unknown_lookup_rejected(self, service):
         with pytest.raises(RegistrationError):
-            DroneRegistry().lookup("drone-999999")
+            service.store.get_drone("drone-999999")
 
 
 class TestNfzDatabase:

@@ -28,7 +28,7 @@ from repro.core.verification import (
     VerificationStatus,
 )
 from repro.crypto.pkcs1 import sign_pkcs1_v15
-from repro.errors import ConfigurationError, EncodingError, RegistrationError
+from repro.errors import EncodingError, RegistrationError
 from repro.server.auditor import AliDroneServer
 from repro.server.engine import AuditEngine, _BoundedCache
 from repro.sim.clock import DEFAULT_EPOCH
@@ -304,19 +304,6 @@ class TestFullIntakeEquivalence:
 
 
 class TestEngineMechanics:
-    @pytest.fixture()
-    def engine_parts(self, frame, signing_key, zone):
-        verifier = PoaVerifier(frame)
-        lookups = []
-
-        def lookup(drone_id):
-            lookups.append(drone_id)
-            if drone_id.startswith("drone-"):
-                return signing_key.public_key
-            raise RegistrationError(f"unknown drone: {drone_id}")
-
-        return verifier, lookup, lookups
-
     def make_submission(self, frame, signing_key, encryption_key, *,
                         drone_id="drone-1", n=4, flight="f"):
         poa = ProofOfAlibi(
@@ -328,33 +315,6 @@ class TestEngineMechanics:
         return PoaSubmission(drone_id=drone_id, flight_id=flight,
                              records=records, claimed_start=T0,
                              claimed_end=T0 + n - 1.0)
-
-    def test_rejects_bad_configuration(self, frame, signing_key):
-        verifier = PoaVerifier(frame)
-        with pytest.raises(ConfigurationError):
-            AuditEngine(verifier, tee_key_lookup=lambda d: None, workers=0)
-        with pytest.raises(ConfigurationError):
-            AuditEngine(verifier, tee_key_lookup=lambda d: None,
-                        executor="fiber")
-
-    def test_worker_counts_agree(self, frame, signing_key, other_key, zone):
-        """Reports are identical at 1, 2 and 3 workers (determinism)."""
-        encryption_key = other_key
-        submissions = [
-            self.make_submission(frame, signing_key, encryption_key,
-                                 flight=f"f-{i}") for i in range(6)]
-        per_worker = []
-        for workers in (1, 2, 3):
-            engine = AuditEngine(
-                PoaVerifier(frame),
-                tee_key_lookup=lambda d: signing_key.public_key,
-                encryption_key=encryption_key,
-                zones_provider=lambda: [zone], workers=workers)
-            result = engine.audit_batch(submissions)
-            per_worker.append(result.reports)
-            assert result.workers == workers
-            assert result.batch_size == len(submissions)
-        assert per_worker[0] == per_worker[1] == per_worker[2]
 
     def test_payload_cache_fills_and_hits(self, frame, signing_key,
                                           other_key, zone):
@@ -370,17 +330,6 @@ class TestEngineMechanics:
         second = engine.audit_batch([submission])
         assert engine.payload_cache_size == 5
         assert first.reports == second.reports
-
-    def test_tee_key_lookup_cached_per_drone(self, frame, signing_key,
-                                             engine_parts):
-        verifier, lookup, lookups = engine_parts
-        engine = AuditEngine(verifier, tee_key_lookup=lookup)
-        for _ in range(3):
-            engine.tee_key_for("drone-1")
-        assert lookups == ["drone-1"]
-        engine.invalidate_drone("drone-1")
-        engine.tee_key_for("drone-1")
-        assert lookups == ["drone-1", "drone-1"]
 
     def test_position_memo_shared_across_batches(self, frame, signing_key,
                                                  zone):
@@ -444,7 +393,7 @@ class TestEngineMechanics:
             PoaVerifier(frame),
             tee_key_lookup=lambda d: signing_key.public_key,
             encryption_key=encryption_key, zones_provider=lambda: [zone],
-            workers=2, events=events)
+            events=events)
         submissions = [
             self.make_submission(frame, signing_key, encryption_key,
                                  flight=f"f-{i}") for i in range(3)]
@@ -452,7 +401,6 @@ class TestEngineMechanics:
         (event,) = events.of_kind("batch_audited")
         assert event.time == T0 + 5.0
         assert event.detail["batch_size"] == 3
-        assert event.detail["workers"] == 2
         assert event.detail["wall_time_s"] > 0.0
 
     def test_metrics_accumulate_per_stage(self, frame, signing_key,
@@ -492,24 +440,21 @@ class TestBoundedCacheLru:
     refreshes recency, so hot entries survive cold churn."""
 
     def test_eviction_order_is_least_recently_used(self):
-        evicted = []
-        cache = _BoundedCache(3, on_evict=lambda k, v: evicted.append(k))
+        cache = _BoundedCache(3)
         cache["a"], cache["b"], cache["c"] = 1, 2, 3
         assert cache.get("a") == 1        # touch: "a" is now most recent
         cache["d"] = 4                    # evicts "b", NOT "a"
-        assert evicted == ["b"]
+        assert list(cache) == ["c", "a", "d"]
         cache["e"] = 5                    # next-oldest untouched: "c"
-        assert evicted == ["b", "c"]
         assert list(cache) == ["a", "d", "e"]
 
     def test_overwrite_refreshes_without_evicting(self):
-        evicted = []
-        cache = _BoundedCache(2, on_evict=lambda k, v: evicted.append(k))
+        cache = _BoundedCache(2)
         cache["a"], cache["b"] = 1, 2
         cache["a"] = 10                   # overwrite: refresh, no eviction
-        assert evicted == []
+        assert list(cache) == ["b", "a"]
         cache["c"] = 3                    # now "b" is the LRU entry
-        assert evicted == ["b"]
+        assert list(cache) == ["a", "c"]
         assert cache.get("a") == 10
 
     def test_get_miss_returns_default_untouched(self):
@@ -519,12 +464,10 @@ class TestBoundedCacheLru:
         assert cache.get("zzz", 7) == 7
         assert list(cache) == ["a"]
 
-    def test_insert_alias_and_evict_hook_sees_values(self):
-        evicted = []
-        cache = _BoundedCache(1, on_evict=lambda k, v: evicted.append((k, v)))
+    def test_insert_alias_evicts_like_setitem(self):
+        cache = _BoundedCache(1)
         cache.insert("a", 1)
         cache.insert("b", 2)
-        assert evicted == [("a", 1)]
         assert dict(cache) == {"b": 2}
 
     def test_engine_hot_records_survive_cold_churn(self, frame, signing_key,
@@ -567,63 +510,3 @@ class TestBoundedCacheLru:
             frame, signing_key, encryption_key, n=5)
         engine.audit_batch([submission])
         assert engine.position_memo_size <= 3
-
-
-class TestInvalidateDronePurgesPayloads:
-    def audit_two_drones(self, frame, signing_key, encryption_key, zone):
-        engine = AuditEngine(
-            PoaVerifier(frame),
-            tee_key_lookup=lambda d: signing_key.public_key,
-            encryption_key=encryption_key, zones_provider=lambda: [zone])
-        sub_a = make_distinct_submission(frame, signing_key, encryption_key,
-                                         drone_id="drone-a", n=3,
-                                         flight="fa", seed=11)
-        sub_b = make_distinct_submission(frame, signing_key, encryption_key,
-                                         drone_id="drone-b", n=2,
-                                         flight="fb", offset=500.0, seed=22)
-        engine.audit_batch([sub_a, sub_b])
-        return engine, sub_a, sub_b
-
-    def test_purges_only_that_drones_payloads(self, frame, signing_key,
-                                              other_key, zone):
-        engine, sub_a, sub_b = self.audit_two_drones(
-            frame, signing_key, other_key, zone)
-        assert engine.payload_cache_size == 5
-        engine.invalidate_drone("drone-a")
-        assert engine.payload_cache_size == 2
-        engine.payload_cache_hits = engine.payload_cache_misses = 0
-        engine.audit_batch([sub_a, sub_b])
-        # drone-a decrypts again, drone-b still hits.
-        assert (engine.payload_cache_hits,
-                engine.payload_cache_misses) == (2, 3)
-
-    def test_reverse_index_tracks_evictions(self, frame, signing_key,
-                                            other_key, zone):
-        """Invalidating after natural evictions must not over-purge."""
-        encryption_key = other_key
-        engine = AuditEngine(
-            PoaVerifier(frame),
-            tee_key_lookup=lambda d: signing_key.public_key,
-            encryption_key=encryption_key, zones_provider=lambda: [zone],
-            payload_cache_max=2)
-        engine.audit_batch([make_distinct_submission(
-            frame, signing_key, encryption_key, drone_id="drone-a", n=3,
-            flight="fa", seed=31)])
-        # Bound 2: drone-a holds at most 2 cached records and the reverse
-        # index matches what is actually cached.
-        assert engine.payload_cache_size == 2
-        engine.audit_batch([make_distinct_submission(
-            frame, signing_key, encryption_key, drone_id="drone-b", n=2,
-            flight="fb", offset=300.0, seed=32)])
-        assert engine.payload_cache_size == 2
-        engine.invalidate_drone("drone-a")   # fully evicted already
-        assert engine.payload_cache_size == 2
-        engine.invalidate_drone("drone-b")
-        assert engine.payload_cache_size == 0
-
-    def test_invalidate_unknown_drone_is_noop(self, frame, signing_key,
-                                              other_key, zone):
-        engine, _sub_a, _sub_b = self.audit_two_drones(
-            frame, signing_key, other_key, zone)
-        engine.invalidate_drone("drone-unknown")
-        assert engine.payload_cache_size == 5

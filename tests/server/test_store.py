@@ -112,6 +112,14 @@ class TestDroneRegistry:
             store.register_drone(other_key.public_key,
                                  signing_key.public_key)
 
+    def test_same_operator_key_many_drones_allowed(self, store, signing_key,
+                                                   other_key):
+        """One operator can own a fleet (distinct TEEs)."""
+        second = generate_rsa_keypair(512, rng=random.Random(404))
+        store.register_drone(other_key.public_key, signing_key.public_key)
+        store.register_drone(other_key.public_key, second.public_key)
+        assert store.drone_count() == 2
+
     def test_unknown_drone_raises(self, store):
         with pytest.raises(RegistrationError):
             store.get_drone("drone-404404")

@@ -20,6 +20,7 @@ from repro.core.protocol import (
 )
 from repro.core.samples import GpsSample
 from repro.crypto.pkcs1 import sign_pkcs1_v15
+from repro.crypto.schemes import authenticate_payloads, scheme_ids
 from repro.errors import EncodingError
 from repro.server.auditor import AliDroneServer
 from repro.sim.clock import DEFAULT_EPOCH
@@ -126,7 +127,7 @@ class TestServerArchive:
                                   encryption_key_bits=512)
         load_server_state(path, restored)
 
-        assert drone_id in restored.drones
+        assert restored.service.store.get_drone(drone_id).drone_id == drone_id
         assert zone_id in restored.zones
         assert restored.public_encryption_key == server.public_encryption_key
         assert len(restored.retained_for(drone_id)) == 1
@@ -179,3 +180,56 @@ class TestServerArchive:
         with pytest.raises(EncodingError):
             load_server_state(path, AliDroneServer(
                 frame, rng=random.Random(3), encryption_key_bits=512))
+
+    @pytest.mark.parametrize("scheme", scheme_ids())
+    def test_accepted_flight_restores_under_every_scheme(self, tmp_path,
+                                                         frame, signing_key,
+                                                         other_key, scheme):
+        """The snapshot keeps each submission's scheme and finalizer, so a
+        flight-level scheme's verdict reproduces on restore."""
+        server = AliDroneServer(frame, rng=random.Random(8),
+                                encryption_key_bits=512)
+        drone_id = server.register_drone(DroneRegistrationRequest(
+            operator_public_key=other_key.public_key,
+            tee_public_key=signing_key.public_key))
+        payloads = []
+        for i in range(6):
+            point = frame.to_geo(200.0 + 20.0 * i, 0.0)
+            payloads.append(GpsSample(lat=point.lat, lon=point.lon,
+                                      t=T0 + i).to_signed_payload())
+        blobs, finalizer = authenticate_payloads(
+            signing_key, payloads, scheme, rng=random.Random(9))
+        poa = ProofOfAlibi(
+            (SignedSample(payload=payload, signature=blob, scheme=scheme)
+             for payload, blob in zip(payloads, blobs)),
+            scheme=scheme, finalizer=finalizer)
+        report = server.receive_poa(PoaSubmission(
+            drone_id=drone_id, flight_id="f-1",
+            records=encrypt_poa(poa, server.public_encryption_key,
+                                rng=random.Random(10)),
+            claimed_start=T0, claimed_end=T0 + 5.0, scheme=scheme,
+            finalizer=finalizer))
+        assert report.compliant
+        path = tmp_path / "server.json"
+        save_server_state(server, path)
+        restored = load_server_state(path, AliDroneServer(
+            frame, rng=random.Random(11), encryption_key_bits=512))
+        (retained,) = restored.retained_for(drone_id)
+        assert retained.report == report
+        assert retained.submission.scheme == scheme
+        assert retained.submission.finalizer == finalizer
+
+    def test_snapshot_without_scheme_reads_as_rsa_v15(self, tmp_path, frame,
+                                                      populated_server):
+        server, drone_id, _ = populated_server
+        path = tmp_path / "server.json"
+        save_server_state(server, path)
+        document = json.loads(path.read_text())
+        for entry in document["retained"]:
+            del entry["scheme"], entry["finalizer"]
+        path.write_text(json.dumps(document))
+        restored = load_server_state(path, AliDroneServer(
+            frame, rng=random.Random(12), encryption_key_bits=512))
+        (retained,) = restored.retained_for(drone_id)
+        assert retained.submission.scheme == "rsa-v15"
+        assert retained.report.compliant

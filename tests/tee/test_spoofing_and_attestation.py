@@ -153,21 +153,21 @@ class TestAttestationQuotes:
                                           vendor_key, other_key):
         server = AliDroneServer(frame, rng=random.Random(1),
                                 encryption_key_bits=512)
-        server.require_attestation = True
-        server.trust_manufacturer(vendor_key.public_key)
+        server.service.require_attestation = True
+        server.service.trust_manufacturer(vendor_key.public_key)
         device = make_device(seed=36)
         # A valid, quoted registration passes.
         drone_id = server.register_drone(DroneRegistrationRequest(
             operator_public_key=other_key.public_key,
             tee_public_key=device.tee_public_key, quote=device.quote))
-        assert drone_id in server.drones
+        assert server.service.store.get_drone(drone_id).drone_id == drone_id
 
     def test_server_rejects_missing_quote(self, frame, make_device,
                                           vendor_key, other_key):
         server = AliDroneServer(frame, rng=random.Random(2),
                                 encryption_key_bits=512)
-        server.require_attestation = True
-        server.trust_manufacturer(vendor_key.public_key)
+        server.service.require_attestation = True
+        server.service.trust_manufacturer(vendor_key.public_key)
         device = make_device(seed=37)
         with pytest.raises(RegistrationError):
             server.register_drone(DroneRegistrationRequest(
@@ -180,8 +180,8 @@ class TestAttestationQuotes:
         """An attacker presents a genuine quote but their own 'TEE' key."""
         server = AliDroneServer(frame, rng=random.Random(3),
                                 encryption_key_bits=512)
-        server.require_attestation = True
-        server.trust_manufacturer(vendor_key.public_key)
+        server.service.require_attestation = True
+        server.service.trust_manufacturer(vendor_key.public_key)
         device = make_device(seed=38)
         with pytest.raises(RegistrationError):
             server.register_drone(DroneRegistrationRequest(
@@ -193,7 +193,7 @@ class TestAttestationQuotes:
                                                    other_key):
         server = AliDroneServer(frame, rng=random.Random(4),
                                 encryption_key_bits=512)
-        server.require_attestation = True   # nobody trusted
+        server.service.require_attestation = True   # nobody trusted
         device = make_device(seed=39)
         with pytest.raises(RegistrationError):
             server.register_drone(DroneRegistrationRequest(
@@ -205,8 +205,8 @@ class TestAttestationQuotes:
         """An attacker self-issues a quote for their own key."""
         server = AliDroneServer(frame, rng=random.Random(5),
                                 encryption_key_bits=512)
-        server.require_attestation = True
-        server.trust_manufacturer(vendor_key.public_key)
+        server.service.require_attestation = True
+        server.service.trust_manufacturer(vendor_key.public_key)
         forged = DeviceQuote.issue("evil-dev", signing_key.public_key,
                                    b"\x00" * 32, manufacturer_key=other_key)
         with pytest.raises(RegistrationError):
