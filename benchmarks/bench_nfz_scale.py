@@ -13,7 +13,10 @@ both ways over the same deterministic query set:
 Every row asserts equivalence (identical nearest zones/distances,
 identical sampler decisions, identical insufficient-pair lists) before
 reporting speedups, and rows at Z >= 5000 must clear a 10x speedup on the
-nearest query.  Emits ``BENCH_nfz_scale.json`` via ``_emit``.
+nearest query.  Each timed repeat of an indexed arm queries a freshly
+built index (built outside the timer), so a best-of-N never times an
+index whose per-cell ring memo an earlier repeat already warmed.  Emits
+``BENCH_nfz_scale.json`` via ``_emit``.
 
 Run standalone::
 
@@ -78,13 +81,19 @@ def brute_pair_min(circles, a, b):
                for circle in circles)
 
 
-def _best_time(fn, repeats: int = REPEATS) -> tuple[float, object]:
-    """Minimum wall time over ``repeats`` runs, plus the last result."""
+def _best_time(fn, repeats: int = REPEATS,
+               setup=None) -> tuple[float, object]:
+    """Minimum wall time over ``repeats`` runs, plus the last result.
+
+    With ``setup``, every repeat first calls it outside the timer and
+    hands its result to ``fn``.
+    """
     best = math.inf
     result = None
     for _ in range(repeats):
+        args = () if setup is None else (setup(),)
         start = time.perf_counter()
-        result = fn()
+        result = fn(*args)
         best = min(best, time.perf_counter() - start)
     return best, result
 
@@ -107,11 +116,15 @@ def run_scale(zone_counts, n_queries: int, seed: int,
         build_s = time.perf_counter() - build_start
         circles = index.circles
 
+        def fresh_index():
+            return ZoneProximityIndex(zones, frame, stats=stats)
+
         # -- nearest-boundary queries ------------------------------------
         brute_s, brute_res = _best_time(
             lambda: [brute_nearest(circles, p) for p in points], repeats)
         indexed_s, indexed_res = _best_time(
-            lambda: [index.nearest_boundary(p) for p in points], repeats)
+            lambda fresh: [fresh.nearest_boundary(p) for p in points],
+            repeats, fresh_index)
         assert indexed_res == brute_res, "nearest-boundary results diverged"
 
         # -- sampler pair decisions (with cutoff early-exit) -------------
@@ -119,8 +132,8 @@ def run_scale(zone_counts, n_queries: int, seed: int,
             lambda: [brute_pair_min(circles, a, b) for a, b in pairs],
             repeats)
         pair_indexed_s, pair_indexed = _best_time(
-            lambda: [index.min_pair_distance(a, b, cutoff_m=cutoff)
-                     for a, b in pairs], repeats)
+            lambda fresh: [fresh.min_pair_distance(a, b, cutoff_m=cutoff)
+                           for a, b in pairs], repeats, fresh_index)
         for exact, pruned in zip(pair_brute, pair_indexed):
             # Identical decision everywhere; identical float at/below it.
             assert (exact > cutoff) == (pruned > cutoff), \
@@ -133,7 +146,8 @@ def run_scale(zone_counts, n_queries: int, seed: int,
             lambda: insufficient_pairs_projected(track, times, circles),
             repeats)
         suff_indexed_s, suff_indexed = _best_time(
-            lambda: insufficient_pairs_indexed(track, times, index), repeats)
+            lambda fresh: insufficient_pairs_indexed(track, times, fresh),
+            repeats, fresh_index)
         assert suff_brute == suff_indexed, "insufficient-pair lists diverged"
 
         speedup = brute_s / indexed_s if indexed_s > 0 else math.inf

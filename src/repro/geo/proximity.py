@@ -35,13 +35,27 @@ comparison.
 Counters land in a :class:`ZoneIndexStats` so the telemetry layer
 (:mod:`repro.obs`) can show the pruning working: queries answered,
 candidate circles actually evaluated, rings expanded, cutoff early exits.
+
+**Ring memo.** :meth:`GridIndex.ring_candidates` depends on the query
+point only through its grid cell, and an index never mutates its grid
+after construction, so queries read their rings through a per-cell memo:
+the ``(ring, lower_bound, zones)`` rows some query in that cell has
+consumed, extended lazily when a later query needs a deeper ring.  It
+holds at most :data:`RING_MEMO_MAX_ENTRIES` zone rows and evicts the
+least recently queried cells beyond that.  The memo depends on the zone
+set alone, and the distance arithmetic is ``Circle.distance_to_boundary``
+inlined (``math.hypot(px - x, py - y) - r``, pair sums ``D(a) + D(b)``),
+so results and :class:`ZoneIndexStats` are identical with a warm or a
+cold memo, and bit-identical to the brute-force scan under the cutoff
+contract.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Sequence
+from itertools import islice
+from typing import Iterator, Sequence
 
 from repro.geo.circle import Circle
 from repro.geo.geodesy import LocalFrame
@@ -52,6 +66,15 @@ Point = tuple[float, float]
 #: Cell-size floor; also the cell size of an empty index.
 _MIN_CELL_M = 1.0
 _DEFAULT_EMPTY_CELL_M = 100.0
+
+#: Bound on the zone rows the per-cell ring memo holds, summed over all
+#: memoised cells.  A row is a pointer to the zone's ``(i, x, y, r)``
+#: tuple, shared by every cell, so the bound is ~0.5 MB per index; a
+#: corridor flight through 1000 zones holds a few hundred rows.
+RING_MEMO_MAX_ENTRIES = 1 << 16
+
+#: One materialised ring: ``(ring, lower_bound, ((i, x, y, r), ...))``.
+_RingRow = tuple[int, float, tuple[tuple[int, float, float, float], ...]]
 
 
 @dataclass
@@ -99,6 +122,17 @@ def _auto_cell_size(circles: Sequence[Circle]) -> float:
     span = max(span_x, span_y, _MIN_CELL_M)
     mean_diameter = 2.0 * sum(c.r for c in circles) / len(circles)
     return max(span / math.sqrt(len(circles)), mean_diameter, _MIN_CELL_M)
+
+
+class _CellRings:
+    """The materialised ring prefix of one query cell."""
+
+    __slots__ = ("rows", "size", "complete")
+
+    def __init__(self) -> None:
+        self.rows: list[_RingRow] = []
+        self.size = 0            # zone rows held across ``rows``
+        self.complete = False    # ``rows`` holds every ring of the cell
 
 
 class ZoneProximityIndex:
@@ -150,9 +184,55 @@ class ZoneProximityIndex:
         self._grid: GridIndex[int] = GridIndex(self.cell_size)
         for i, circle in enumerate(circles):
             self._grid.insert(i, circle)
+        self._zone_rows = [(i, c.x, c.y, c.r) for i, c in enumerate(circles)]
+        # Query cell -> materialised rings, least recently queried first.
+        self._ring_memo: dict[tuple[int, int], _CellRings] = {}
+        self._ring_memo_size = 0
 
     def __len__(self) -> int:
         return len(self.circles)
+
+    def _rings_around(self, point: Point) -> Iterator[_RingRow]:
+        """``ring_candidates(point)`` with each ring's lower bound and
+        zone geometry, read through the per-cell memo.
+
+        Yields the cell's materialised rows, then — if the caller reads
+        past them — re-enumerates the grid, skips the known prefix and
+        materialises each further ring as it is consumed.
+        """
+        cell = self._grid.cell_of(point)
+        memo = self._ring_memo
+        entry = memo.pop(cell, None)
+        if entry is None:
+            entry = _CellRings()
+        memo[cell] = entry
+        yield from entry.rows
+        if entry.complete:
+            return
+        zone_row = self._zone_rows.__getitem__
+        lower_bound = self._grid.ring_lower_bound
+        stored = True
+        source = self._grid.ring_candidates(point)
+        for ring, keys in islice(source, len(entry.rows), None):
+            row = (ring, lower_bound(ring), tuple(map(zone_row, keys)))
+            if stored:
+                entry.rows.append(row)
+                entry.size += len(keys)
+                self._ring_memo_size += len(keys)
+                stored = self._evict_over_bound(entry)
+            yield row
+        entry.complete = True
+
+    def _evict_over_bound(self, keep: _CellRings) -> bool:
+        """Drop least-recently-queried cells until the memo fits its
+        bound; False when ``keep`` (the newest cell) had to go too."""
+        memo = self._ring_memo
+        while self._ring_memo_size > RING_MEMO_MAX_ENTRIES:
+            evicted = memo.pop(next(iter(memo)))
+            self._ring_memo_size -= evicted.size
+            if evicted is keep:
+                return False
+        return True
 
     # --- point queries ------------------------------------------------------
 
@@ -173,10 +253,11 @@ class ZoneProximityIndex:
             return None
         stats = self.stats
         stats.queries += 1
+        hypot = math.hypot
+        px, py = point[0], point[1]
         best_index = -1
         best_dist = math.inf
-        for ring, keys in self._grid.ring_candidates(point):
-            lower = self._grid.ring_lower_bound(ring)
+        for ring, lower, zones in self._rings_around(point):
             if best_dist < lower:
                 break
             # Ring 0 must always be scanned: circles *containing* the
@@ -187,9 +268,9 @@ class ZoneProximityIndex:
                 stats.cutoff_exits += 1
                 break
             stats.rings += 1
-            stats.candidates += len(keys)
-            for i in keys:
-                dist = self.circles[i].distance_to_boundary(point)
+            stats.candidates += len(zones)
+            for i, x, y, r in zones:
+                dist = hypot(px - x, py - y) - r
                 if dist < best_dist or (dist == best_dist and i < best_index):
                     best_index, best_dist = i, dist
         return best_index, best_dist
@@ -200,14 +281,16 @@ class ZoneProximityIndex:
             return []
         stats = self.stats
         stats.queries += 1
+        hypot = math.hypot
+        px, py = point[0], point[1]
         best: list[tuple[float, int]] = []
-        for ring, keys in self._grid.ring_candidates(point):
-            if len(best) >= k and best[-1][0] < self._grid.ring_lower_bound(ring):
+        for _, lower, zones in self._rings_around(point):
+            if len(best) >= k and best[-1][0] < lower:
                 break
             stats.rings += 1
-            stats.candidates += len(keys)
-            for i in keys:
-                best.append((self.circles[i].distance_to_boundary(point), i))
+            stats.candidates += len(zones)
+            best.extend((hypot(px - x, py - y) - r, i)
+                        for i, x, y, r in zones)
             best.sort()
             del best[k:]
         return [(i, dist) for dist, i in best]
@@ -223,17 +306,18 @@ class ZoneProximityIndex:
             return []
         stats = self.stats
         stats.queries += 1
+        hypot = math.hypot
+        px, py = point[0], point[1]
         hits: list[int] = []
-        for ring, keys in self._grid.ring_candidates(point):
+        for ring, lower, zones in self._rings_around(point):
             # Ring 0 always scans (containing circles have negative
             # distance below any lower bound); rings >= 1 prune normally.
-            if ring and self._grid.ring_lower_bound(ring) > radius_m:
+            if ring and lower > radius_m:
                 break
             stats.rings += 1
-            stats.candidates += len(keys)
-            hits.extend(i for i in keys
-                        if self.circles[i].distance_to_boundary(point)
-                        <= radius_m)
+            stats.candidates += len(zones)
+            hits.extend(i for i, x, y, r in zones
+                        if hypot(px - x, py - y) - r <= radius_m)
         return sorted(hits)
 
     # --- pair queries (the sampling / sufficiency hot path) -----------------
@@ -257,10 +341,12 @@ class ZoneProximityIndex:
             return None
         stats = self.stats
         stats.queries += 1
-        midpoint = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+        hypot = math.hypot
+        ax, ay, bx, by = a[0], a[1], b[0], b[1]
+        midpoint = ((ax + bx) / 2.0, (ay + by) / 2.0)
         best = math.inf
-        for ring, keys in self._grid.ring_candidates(midpoint):
-            lower = 2.0 * self._grid.ring_lower_bound(ring)
+        for ring, lower, zones in self._rings_around(midpoint):
+            lower = 2.0 * lower
             if best < lower:
                 break
             # Negative pair sums require the midpoint inside the zone,
@@ -270,11 +356,10 @@ class ZoneProximityIndex:
                 stats.cutoff_exits += 1
                 break
             stats.rings += 1
-            stats.candidates += len(keys)
-            for i in keys:
-                circle = self.circles[i]
-                pair_sum = (circle.distance_to_boundary(a)
-                            + circle.distance_to_boundary(b))
+            stats.candidates += len(zones)
+            for _, x, y, r in zones:
+                pair_sum = ((hypot(ax - x, ay - y) - r)
+                            + (hypot(bx - x, by - y) - r))
                 if pair_sum < best:
                     best = pair_sum
         return best
@@ -290,18 +375,18 @@ class ZoneProximityIndex:
             return []
         stats = self.stats
         stats.queries += 1
-        midpoint = ((a[0] + b[0]) / 2.0, (a[1] + b[1]) / 2.0)
+        hypot = math.hypot
+        ax, ay, bx, by = a[0], a[1], b[0], b[1]
+        midpoint = ((ax + bx) / 2.0, (ay + by) / 2.0)
         hits: list[int] = []
-        for ring, keys in self._grid.ring_candidates(midpoint):
-            if ring and 2.0 * self._grid.ring_lower_bound(ring) > max_sum:
+        for ring, lower, zones in self._rings_around(midpoint):
+            if ring and 2.0 * lower > max_sum:
                 break
             stats.rings += 1
-            stats.candidates += len(keys)
-            for i in keys:
-                circle = self.circles[i]
-                if (circle.distance_to_boundary(a)
-                        + circle.distance_to_boundary(b)) <= max_sum:
-                    hits.append(i)
+            stats.candidates += len(zones)
+            hits.extend(i for i, x, y, r in zones
+                        if (hypot(ax - x, ay - y) - r)
+                        + (hypot(bx - x, by - y) - r) <= max_sum)
         return sorted(hits)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid

@@ -53,6 +53,11 @@ class GridIndex(Generic[K]):
     def _cell_of(self, x: float, y: float) -> tuple[int, int]:
         return (math.floor(x / self.cell_size), math.floor(y / self.cell_size))
 
+    def cell_of(self, point: Point) -> tuple[int, int]:
+        """The grid cell holding ``point``; :meth:`ring_candidates` output
+        depends on the query point only through this cell."""
+        return self._cell_of(*point)
+
     def _cells_for(self, circle: Circle) -> Iterator[tuple[int, int]]:
         x0, y0 = self._cell_of(circle.x - circle.r, circle.y - circle.r)
         x1, y1 = self._cell_of(circle.x + circle.r, circle.y + circle.r)

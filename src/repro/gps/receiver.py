@@ -13,12 +13,22 @@ continuous position source:
 * positions carry optional zero-mean Gaussian noise;
 * reads return the most recent surviving update at or before the query
   time, never the instantaneous truth.
+
+Update instants are strictly increasing (jitter is clipped to +-40% of the
+period), so every read — :meth:`~SimulatedGpsReceiver.fix_at`,
+:meth:`~SimulatedGpsReceiver.next_update_after`,
+:meth:`~SimulatedGpsReceiver.next_fix_after` and
+:meth:`~SimulatedGpsReceiver.updates_between` — bisects the generated
+schedule: O(log n) in the number of updates generated so far (plus the
+updates returned), rather than a scan from update 0.  A flight of n
+updates therefore costs O(n log n) in reads, not O(n^2).
 """
 
 from __future__ import annotations
 
 import math
 import random
+from bisect import bisect_right
 from typing import Protocol
 
 from repro.errors import ConfigurationError, NoFixError
@@ -85,8 +95,11 @@ class SimulatedGpsReceiver:
         self._rng = rng if rng is not None else random.Random(seed)
         self._injector = injector
         self._update_point = f"{fault_point}.update"
-        # Chronological list of (update_time, fix_or_None); None = missed.
-        self._schedule: list[tuple[float, GpsFix | None]] = []
+        # The generated schedule as bisect keys: every update's time
+        # (missed or not), and the surviving fixes beside their times.
+        self._times: list[float] = []
+        self._fix_times: list[float] = []
+        self._fixes: list[GpsFix] = []
         self._next_index = 0
         self.updates_generated = 0
         self.updates_missed = 0
@@ -119,13 +132,13 @@ class SimulatedGpsReceiver:
                 if suppressed and not missed:
                     self.updates_fault_suppressed += 1
                     missed = True
+            self._times.append(t)
             if missed:
                 self.updates_missed += 1
-                self._schedule.append((t, None))
                 continue
             self.updates_generated += 1
-            self._schedule.append(
-                (t, self._measure(t, fault_dx, fault_dy)))
+            self._fix_times.append(t)
+            self._fixes.append(self._measure(t, fault_dx, fault_dy))
 
     def _measure(self, t: float, fault_dx: float = 0.0,
                  fault_dy: float = 0.0) -> GpsFix:
@@ -155,13 +168,8 @@ class SimulatedGpsReceiver:
     def fix_at(self, t: float) -> GpsFix | None:
         """The most recent surviving update at or before ``t`` (or None)."""
         self._extend_schedule(t)
-        latest: GpsFix | None = None
-        for update_time, fix in self._schedule:
-            if update_time > t:
-                break
-            if fix is not None:
-                latest = fix
-        return latest
+        i = bisect_right(self._fix_times, t)
+        return self._fixes[i - 1] if i else None
 
     def require_fix_at(self, t: float) -> GpsFix:
         """Like :meth:`fix_at` but raises :class:`NoFixError` when empty."""
@@ -181,11 +189,11 @@ class SimulatedGpsReceiver:
         update after waking" (paper §VI-A1).
         """
         self._extend_schedule(t + 2.0 * self.period)
-        for update_time, _ in self._schedule:
-            if update_time > t:
-                return update_time
-        # Schedule extension guarantees at least one future update.
-        raise AssertionError("schedule extension failed")  # pragma: no cover
+        i = bisect_right(self._times, t)
+        if i == len(self._times):
+            # Schedule extension guarantees at least one future update.
+            raise AssertionError("schedule extension failed")  # pragma: no cover
+        return self._times[i]
 
     def next_fix_after(self, t: float) -> GpsFix:
         """The first *surviving* fix strictly after ``t`` (skips misses)."""
@@ -193,13 +201,13 @@ class SimulatedGpsReceiver:
         for _ in range(10_000):
             horizon += self.period
             self._extend_schedule(horizon)
-            for update_time, fix in self._schedule:
-                if update_time > t and fix is not None:
-                    return fix
+            i = bisect_right(self._fix_times, t)
+            if i < len(self._fixes):
+                return self._fixes[i]
         raise NoFixError(f"no surviving GPS update after t={t}")
 
     def updates_between(self, t0: float, t1: float) -> list[GpsFix]:
         """All surviving fixes with update time in ``(t0, t1]``."""
         self._extend_schedule(t1)
-        return [fix for update_time, fix in self._schedule
-                if t0 < update_time <= t1 and fix is not None]
+        return self._fixes[bisect_right(self._fix_times, t0):
+                           bisect_right(self._fix_times, t1)]

@@ -165,6 +165,12 @@ def load_server_state(path: pathlib.Path | str,
                 raise EncodingError(
                     f"stored verdict {entry['status']!r} does not reproduce "
                     f"({report.status.value!r}) — snapshot tampered?")
+            # The store row and verdict make a byte-identical re-upload
+            # dedup to this verdict instead of being audited again.
+            seq, _ = store.put_submission(submission,
+                                          received_at=entry["received_at"])
+            store.record_verdict(seq, report,
+                                 audited_at=entry["received_at"])
             server._retained.setdefault(entry["drone_id"], []).append(
                 RetainedSubmission(submission=submission, poa=poa,
                                    report=report,

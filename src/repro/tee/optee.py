@@ -14,6 +14,7 @@ import inspect
 import uuid as uuid_module
 from collections import Counter
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import TYPE_CHECKING, Any, Callable
 
 from repro.crypto.pkcs1 import sign_pkcs1_v15, verify_pkcs1_v15
@@ -26,6 +27,7 @@ if TYPE_CHECKING:  # pragma: no cover - type-only imports
     from repro.tee.secure_storage import SealedStorage
 
 
+@lru_cache(maxsize=64)
 def _ta_code_bytes(factory: Callable[[], TrustedApplication],
                    ta_uuid: uuid_module.UUID) -> bytes:
     """The simulated "compiled TA image" the vendor signature covers.
@@ -34,6 +36,12 @@ def _ta_code_bytes(factory: Callable[[], TrustedApplication],
     factory's source text (falling back to its qualified name), so swapping
     in a modified TA class produces a different image and a failed
     signature check.
+
+    Memoised per ``(factory, uuid)``: ``inspect.getsource`` re-tokenises
+    the whole TA module on every call, and ``linecache`` already pins the
+    text it reads, so the memo returns the bytes a fresh call would.  A
+    swapped TA class is a different factory object and misses the memo;
+    the vendor signature is still verified on every load.
     """
     try:
         source = inspect.getsource(factory)

@@ -263,3 +263,93 @@ class TestStats:
             index.nearest_boundary((rng.uniform(-4_000, 4_000),
                                     rng.uniform(-4_000, 4_000)))
         assert stats.mean_candidates_per_query < len(field) / 4
+
+
+def interleaved_queries(seed, n=400):
+    """Five-method query mix alternating near cells, revisited cells and
+    far-outside cells (which take the grid's direct-sweep fallback)."""
+    rng = random.Random(seed)
+    revisits = [(rng.uniform(-500, 500), rng.uniform(-500, 500))
+                for _ in range(6)]
+    queries = []
+    for q in range(n):
+        if q % 7 == 0:
+            a = (rng.uniform(-40_000, 40_000), rng.uniform(-40_000, 40_000))
+        elif q % 3 == 0:
+            x, y = rng.choice(revisits)
+            a = (x + rng.uniform(-5, 5), y + rng.uniform(-5, 5))
+        else:
+            a = (rng.uniform(-600, 600), rng.uniform(-600, 600))
+        b = (a[0] + rng.uniform(-40, 40), a[1] + rng.uniform(-40, 40))
+        method = q % 5
+        if method == 0:
+            queries.append(("nearest_boundary", (a,), {"cutoff_m": rng.choice(
+                [None, 0.0, 20.0, 150.0])}))
+        elif method == 1:
+            queries.append(("k_nearest", (a, rng.randint(1, 8)), {}))
+        elif method == 2:
+            queries.append(("candidates_within",
+                            (a, rng.uniform(-10.0, 300.0)), {}))
+        elif method == 3:
+            queries.append(("min_pair_distance", (a, b), {
+                "cutoff_m": rng.choice([None, 0.0, 40.0, 400.0])}))
+        else:
+            queries.append(("pair_candidates",
+                            (a, b, rng.uniform(-20.0, 600.0)), {}))
+    return queries
+
+
+def stats_tuple(stats):
+    return (stats.queries, stats.candidates, stats.rings, stats.cutoff_exits)
+
+
+class TestRingMemo:
+    """Queries read rings through a per-cell memo; a warm memo must answer
+    and count exactly as a cold one."""
+
+    def assert_matches_fresh(self, field, index, queries):
+        for name, args, kwargs in queries:
+            fresh = ZoneProximityIndex.from_circles(field)
+            expected = getattr(fresh, name)(*args, **kwargs)
+            mark = stats_tuple(index.stats)
+            assert getattr(index, name)(*args, **kwargs) == expected, name
+            delta = tuple(after - prior for after, prior
+                          in zip(stats_tuple(index.stats), mark))
+            assert delta == stats_tuple(fresh.stats), name
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_interleaved_queries_match_a_fresh_index(self, seed):
+        field = random_circles(seed=seed, n=120, spread=600.0)
+        index = ZoneProximityIndex.from_circles(field)
+        self.assert_matches_fresh(field, index,
+                                  interleaved_queries(seed + 10))
+        assert index._ring_memo_size > 0
+
+    def test_memo_never_exceeds_its_bound(self, monkeypatch):
+        import repro.geo.proximity as proximity
+        bound = 40
+        monkeypatch.setattr(proximity, "RING_MEMO_MAX_ENTRIES", bound)
+        field = random_circles(seed=5, n=120, spread=600.0)
+        index = ZoneProximityIndex.from_circles(field)
+        for query in interleaved_queries(15):
+            # One query at a time, so the bound is checked after each.
+            self.assert_matches_fresh(field, index, [query])
+            assert index._ring_memo_size <= bound
+            assert index._ring_memo_size == sum(
+                entry.size for entry in index._ring_memo.values())
+
+    def test_repeat_queries_in_a_cell_skip_the_grid(self, field, index,
+                                                    monkeypatch):
+        index.min_pair_distance((10.0, 10.0), (12.0, 11.0))
+        calls = []
+        enumerate_rings = index._grid.ring_candidates
+        monkeypatch.setattr(index._grid, "ring_candidates",
+                            lambda point: calls.append(point)
+                            or enumerate_rings(point))
+        index.min_pair_distance((10.5, 10.2), (12.5, 11.0))
+        assert calls == []
+        # A deeper query in the same cell extends the memo once.
+        index.k_nearest((10.0, 10.0), len(field))
+        assert len(calls) == 1
+        index.k_nearest((10.0, 10.0), len(field))
+        assert len(calls) == 1

@@ -233,3 +233,22 @@ class TestServerArchive:
         (retained,) = restored.retained_for(drone_id)
         assert retained.submission.scheme == "rsa-v15"
         assert retained.report.compliant
+
+    def test_reupload_after_restore_dedups_to_restored_verdict(
+            self, tmp_path, frame, populated_server):
+        """A restored flight is a store row with its verdict, so the same
+        upload after the restore is neither audited nor retained again."""
+        server, drone_id, _ = populated_server
+        (original,) = server.retained_for(drone_id)
+        path = tmp_path / "server.json"
+        save_server_state(server, path)
+        restored = load_server_state(path, AliDroneServer(
+            frame, rng=random.Random(13), encryption_key_bits=512))
+        assert restored.service.store.verdict_count() == 1
+
+        report = restored.receive_poa(original.submission)
+
+        assert report == original.report
+        assert restored.service.store.verdict_count() == 1
+        assert restored.service.store.submission_count() == 1
+        assert len(restored.retained_for(drone_id)) == 1
